@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhiVanishes
 from .functionals import (
     MARGIN_TOL,
-    PHI_EPS,
     FunctionalKind,
+    JsonReport,
     NormalizedFunction,
     ScanReport,
-    circle_grid,
-    functional_series,
+    functional_series,  # noqa: F401  (a binding site bench/tracing.py wraps)
+    grid_min,
+    kind_weights,
+    phi_on_circle,
     sup_on_circle,
 )
+from .series import ComplexSeries
 
 #: Membership is assessed on these circles by default; each functional is
 #: analytic where phi != 0, so its modulus over |z| <= r peaks on |z| = r.
@@ -35,7 +36,7 @@ FAIL_NUMERIC = "FailNumeric"
 
 
 @dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(JsonReport):
     kind: FunctionalKind
     coefficient_sum: float
     scans: list[ScanReport]
@@ -45,37 +46,14 @@ class MembershipReport:
     def is_member(self) -> bool:
         return self.verdict != FAIL_NUMERIC
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "coefficient_sum": self.coefficient_sum,
-            "scans": [s.to_dict() for s in self.scans],
-            "verdict": self.verdict,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
-class StarlikeReport:
+class StarlikeReport(JsonReport):
     radii: list[float]
     min_value: float
     argmin_angle: float
     argmin_radius: float
     starlike_numeric: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "radii": list(self.radii),
-            "min_value": self.min_value,
-            "argmin_angle": self.argmin_angle,
-            "argmin_radius": self.argmin_radius,
-            "starlike_numeric": self.starlike_numeric,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
@@ -87,18 +65,7 @@ def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
     (k-1) for U, (k-1)^2 for M, (k-1)^3 for N, k(k-1) for P.
     """
     b = np.abs(f.phi.coeffs)
-    if b.size <= 2:
-        return 0.0
-    k = np.arange(b.size, dtype=np.float64)[2:]
-    if kind is FunctionalKind.U:
-        w = k - 1.0
-    elif kind is FunctionalKind.M:
-        w = (k - 1.0) ** 2
-    elif kind is FunctionalKind.N:
-        w = (k - 1.0) ** 3
-    else:
-        w = k * (k - 1.0)
-    return float(np.sum(w * b[2:]))
+    return float(np.sum(np.abs(kind_weights(kind, b.size)) * b[2:]))
 
 
 def check_membership(kind: FunctionalKind, f: NormalizedFunction,
@@ -139,19 +106,17 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     radii = list(radii)
     if any(not 0.0 < r < 1.0 for r in radii):
         raise ValueError("all radii must lie in (0, 1)")
-    phi = f.phi
-    numerator = phi - phi.derivative().shift_up()  # phi - z*phi'
+    # phi - z phi' has coefficients b_k - k b_k, one order shorter like phi';
+    # built in one pass, as phi - phi.derivative().shift_up() keeps three
+    # more full-length temporaries and raised the ex32 peak RSS by about 8 MiB
+    b = f.phi.coeffs
+    numerator = ComplexSeries((b - b * np.arange(b.size))[: max(b.size - 1, 1)])
     best = np.inf
     best_angle = 0.0
     best_radius = radii[0] if radii else 0.0
     for r in radii:
-        theta, pts = circle_grid(r, grid)
-        phiv = phi.eval(pts)
-        if np.min(np.abs(phiv)) <= PHI_EPS:
-            raise PhiVanishes("phi vanishes on the starlike scan set")
-        vals = (numerator.eval(pts) / phiv).real
-        lo = float(np.min(vals))
-        idx = int(np.nonzero(vals <= lo + 1e-12)[0][0])
+        theta, phiv = phi_on_circle(f, r, grid)
+        lo, idx = grid_min((numerator.on_circle(r, grid) / phiv).real)
         if lo < best:
             best = lo
             best_angle = float(theta[idx])

@@ -9,7 +9,7 @@ Usage sketch (see README for more):
     diskmean table1 --extend 16
     diskmean starlike ex34:n=1
     diskmean radius phi:1,0,2 --class M
-    diskmean boundary ex32:order=4096 --svg -o curve.svg
+    diskmean boundary ex32:order=4096 --format svg -o curve.svg
 
 Function sources: ``identity``, ``koebe``, ``ex31:n=K``, ``ex32``,
 ``ex33:n=K,b=X,beta=Y``, ``ex34:n=K`` (families take an optional
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .classes import (
     DEFAULT_GRID,
@@ -61,7 +62,6 @@ class RunConfig:
     radii: tuple[float, ...] = DEFAULT_RADII
     grid: int = DEFAULT_GRID
     tol: float = 1e-5
-    output_format: str = "json"
     seed: int = 0
 
     def validate(self) -> None:
@@ -73,16 +73,6 @@ class RunConfig:
             raise ValueError("grid must be >= 16")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "radii": list(self.radii),
-            "grid": self.grid,
-            "tol": self.tol,
-            "output_format": self.output_format,
-            "seed": self.seed,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +113,7 @@ def parse_source(text: str, config: RunConfig,
     head = head.lower()
 
     if head == "identity":
-        return identity_function()
+        return identity_function(config.order)
     if head == "koebe":
         return koebe_function(config.order)
     if head == "phi":
@@ -185,7 +175,7 @@ def boundary_csv(r: float, points) -> str:
     grid = len(points) - 1
     lines = ["theta,re,im"]
     for j, w in enumerate(points):
-        theta = 2.0 * 3.141592653589793 * j / grid
+        theta = 2.0 * math.pi * j / grid
         lines.append(f"{theta:.12g},{float(w.real)!r},{float(w.imag)!r}")
     return "\n".join(lines) + "\n"
 
@@ -271,7 +261,7 @@ def cmd_radius(args, config: RunConfig) -> int:
 def cmd_boundary(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, _opt(args, "order") is not None)
     points = boundary_image(fn, args.radius, _opt(args, "grid") or 2048)
-    if args.svg or args.format == "svg":
+    if args.format == "svg":
         _emit(boundary_svg(points), args.output)
     else:
         _emit(boundary_csv(args.radius, points), args.output)
@@ -311,55 +301,42 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    def add_output(sp):
+    def add_parser(name, func, **kw):
+        sp = sub.add_parser(name, parents=[common], **kw)
         sp.add_argument("-o", "--output", default=None,
                         help="write to this file instead of stdout")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = add_parser("check", help="class membership of one function")
+    sp = add_parser("check", cmd_check, help="class membership of one function")
     sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
     sp.add_argument("source")
-    add_output(sp)
-    sp.set_defaults(func=cmd_check)
 
-    sp = add_parser("mean", help="harmonic mean, averaging residual, membership")
+    sp = add_parser("mean", cmd_mean, help="harmonic mean, averaging residual, membership")
     sp.add_argument("f_source")
     sp.add_argument("g_source")
     sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
-    add_output(sp)
-    sp.set_defaults(func=cmd_mean)
 
-    sp = add_parser("table1", help="reference A(theta_n) table for ex34")
+    sp = add_parser("table1", cmd_table1, help="reference A(theta_n) table for ex34")
     sp.add_argument("--from", dest="n_from", type=int, default=1)
     sp.add_argument("--to", dest="n_to", type=int, default=14)
     sp.add_argument("--extend", type=int, default=None,
                     help="append golden-section rows up to this n")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_output(sp)
-    sp.set_defaults(func=cmd_table1)
 
-    sp = add_parser("starlike", help="min Re(zf'/f) scan")
+    sp = add_parser("starlike", cmd_starlike, help="min Re(zf'/f) scan")
     sp.add_argument("source")
     sp.add_argument("--all-radii", action="store_true",
                     help="scan the whole radius ladder, not just the largest")
-    add_output(sp)
-    sp.set_defaults(func=cmd_starlike)
 
-    sp = add_parser("radius", help="largest radius of class membership")
+    sp = add_parser("radius", cmd_radius, help="largest radius of class membership")
     sp.add_argument("source")
     sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
-    add_output(sp)
-    sp.set_defaults(func=cmd_radius)
 
-    sp = add_parser("boundary", help="image of a circle under f")
+    sp = add_parser("boundary", cmd_boundary, help="image of a circle under f")
     sp.add_argument("source")
     sp.add_argument("-r", "--radius", type=float, default=0.999)
-    sp.add_argument("--svg", action="store_true", help="emit SVG instead of CSV")
     sp.add_argument("--format", choices=("csv", "svg"), default="csv")
-    add_output(sp)
-    sp.set_defaults(func=cmd_boundary)
 
     return p
 
@@ -402,7 +379,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "show_config", False):
-        sys.stdout.write(_json_dump(config.to_dict()))
+        sys.stdout.write(_json_dump(asdict(config)))
         return 0
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)

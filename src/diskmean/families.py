@@ -34,20 +34,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidFamilyParams, PhiVanishes
+from .errors import InvalidFamilyParams
 from .functionals import (
-    PHI_EPS,
     FunctionalKind,
     NormalizedFunction,
     functional_eval_direct,
+    grid_min,
+    phi_on_circle,
 )
-from .series import DEFAULT_ORDER, ComplexSeries
+from .series import DEFAULT_ORDER, ComplexSeries, circle_angles, circle_points
 
 #: Truncation used for ex32.  Its quadratic-weight coefficient sum
 #: converges like a p-series with p = 3, leaving a tail of roughly
 #: 0.42/order**2; one million terms keep the stored sum within 1e-12 of
-#: the limit value 1.  Evaluation cost stays low because the evaluator
-#: skips the analytically negligible tail inside the unit disk.
+#: the limit value 1.  Circle scans still use every term: they fold the
+#: series onto the grid (ComplexSeries.on_circle) in one linear pass.
 EX32_ORDER = 1_000_000
 
 _GAUSS_LAGUERRE_NODES = 64
@@ -462,12 +463,9 @@ def boundary_image(f: NormalizedFunction, r: float, grid: int) -> np.ndarray:
         raise ValueError("radius must lie in (0, 1)")
     if grid < 3:
         raise ValueError("grid must be at least 3")
-    theta = 2.0 * np.pi * np.arange(grid + 1) / grid
-    pts = r * np.exp(1j * theta)
-    phiv = f.phi.eval(pts)
-    if np.min(np.abs(phiv)) <= PHI_EPS:
-        raise PhiVanishes("phi vanishes on the image circle")
-    return pts / phiv
+    _, phiv = phi_on_circle(f, r, grid)
+    end = r * np.exp(2j * np.pi)  # theta = 2 pi as a float, not exactly 0
+    return np.append(circle_points(r, grid) / phiv, end / f.phi.eval(end))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +482,9 @@ class AngleGridResult:
 
 def a_theta_grid(variant: FamilyVariant, n: int, grid: int = 4096) -> AngleGridResult:
     """Sample A(theta) on the uniform closed-open grid [0, 2*pi)."""
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    thetas = circle_angles(grid)
     values = a_theta(variant, n, thetas)
-    lo = float(np.min(values))
-    idx = int(np.nonzero(values <= lo + 1e-12)[0][0])
+    lo, idx = grid_min(values)
     return AngleGridResult(
         thetas=[float(t) for t in thetas],
         values=[float(v) for v in values],

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NotNormalized, PhiVanishes
-from .series import ComplexSeries
+from .series import ComplexSeries, circle_angles
 
 #: |phi(z)| at or below this is treated as a zero of phi (pole of 1/f).
 PHI_EPS = 1e-9
@@ -58,6 +58,22 @@ class FunctionalKind(Enum):
     def bound(self) -> float:
         """The defining bound: 2 for P, 1 for the others."""
         return 2.0 if self is FunctionalKind.P else 1.0
+
+
+#: Signed weight of b_k (k >= 2) in each functional's series, as a
+#: function of j = k - 1.  The term sits at z^k for U, M and N, and at
+#: z^(k-2) for P.
+_KIND_WEIGHTS = {
+    FunctionalKind.U: lambda j: -j,
+    FunctionalKind.P: lambda j: (j + 1.0) * j,
+    FunctionalKind.M: lambda j: j ** 2,
+    FunctionalKind.N: lambda j: -(j ** 3),
+}
+
+
+def kind_weights(kind: FunctionalKind, size: int) -> np.ndarray:
+    """Signed weights of b_2 .. b_(size-1) in the functional's series."""
+    return _KIND_WEIGHTS[kind](np.arange(1.0, size - 1))
 
 
 class NormalizedFunction:
@@ -111,20 +127,12 @@ def functional_series(kind: FunctionalKind, f: NormalizedFunction) -> ComplexSer
     For U, M and N the constant and linear coefficients are zero; for P the
     result is phi'' (order drops by two).
     """
-    phi = f.phi
+    b = f.phi.coeffs
     if kind is FunctionalKind.P:
-        return phi.derivative().derivative()
-    b = phi.coeffs
-    k = np.arange(b.size, dtype=np.float64)
+        return ComplexSeries(kind_weights(kind, b.size) * b[2:] if b.size > 2 else [0])
     c = np.zeros_like(b)
-    if b.size > 2:
-        w = k[2:] - 1.0
-        if kind is FunctionalKind.U:
-            c[2:] = -w * b[2:]
-        elif kind is FunctionalKind.M:
-            c[2:] = w * w * b[2:]
-        else:  # N
-            c[2:] = -(w ** 3) * b[2:]
+    # in place, and no named temporaries: ex32 carries 10^6 terms
+    np.multiply(kind_weights(kind, b.size), b[2:], out=c[2:])
     return ComplexSeries(c)
 
 
@@ -177,8 +185,23 @@ def functional_eval_direct(kind: FunctionalKind, f: NormalizedFunction, z):
 # boundary scans
 # ---------------------------------------------------------------------------
 
+def _by_value(items) -> dict:
+    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+
+
+class JsonReport:
+    """Serialization shared by the report dataclasses: fields in order,
+    nested reports as dicts, enum members by value."""
+
+    def to_dict(self) -> dict:
+        return asdict(self, dict_factory=_by_value)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(JsonReport):
     """Result of one sup-modulus scan over a circle |z| = radius."""
 
     kind: FunctionalKind
@@ -188,30 +211,26 @@ class ScanReport:
     extremal_angle: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "radius": self.radius,
-            "grid_size": self.grid_size,
-            "extremal_value": self.extremal_value,
-            "extremal_angle": self.extremal_angle,
-            "margin": self.margin,
-        }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
+                  eps: float = PHI_EPS) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of the uniform grid on |z| = r and the values of phi there.
 
-
-def circle_grid(radius: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform closed-open angle grid on [0, 2*pi) and the circle points."""
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    return theta, radius * np.exp(1j * theta)
-
-
-def _check_phi_nonvanishing(f: NormalizedFunction, pts: np.ndarray) -> None:
-    if np.min(np.abs(f.phi.eval(pts))) <= PHI_EPS:
+    Raises:
+        PhiVanishes: if min |phi| on the grid is at or below ``eps``.
+    """
+    phiv = f.phi.on_circle(r, grid)
+    low = float(np.min(np.abs(phiv)))
+    if low <= eps:
         raise PhiVanishes(
-            "phi vanishes on the scan set; the function has a pole there")
+            f"min |phi| = {low:.3e} on |z| = {r:g}; the function has a pole there")
+    return circle_angles(grid), phiv
+
+
+def grid_min(values: np.ndarray) -> tuple[float, int]:
+    """Minimum of sampled values and the first index within 1e-12 of it."""
+    low = float(np.min(values))
+    return low, int(np.nonzero(values <= low + _TIE_TOL)[0][0])
 
 
 def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
@@ -228,11 +247,10 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
         raise ValueError("radius must lie in (0, 1)")
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    theta, pts = circle_grid(r, grid)
-    _check_phi_nonvanishing(f, pts)
-    vals = np.abs(functional_series(kind, f).eval(pts))
-    best = float(np.max(vals))
-    idx = int(np.nonzero(vals >= best - _TIE_TOL)[0][0])
+    theta, _ = phi_on_circle(f, r, grid)
+    # the largest modulus is the smallest of its negation
+    low, idx = grid_min(-np.abs(functional_series(kind, f).on_circle(r, grid)))
+    best = -low
     return ScanReport(
         kind=kind,
         radius=float(r),

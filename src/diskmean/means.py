@@ -17,18 +17,19 @@ refused when it fails.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorVanishes
+from .errors import DenominatorVanishes, PhiVanishes
 from .functionals import (
     FunctionalKind,
+    JsonReport,
     NormalizedFunction,
-    circle_grid,
     functional_series,
+    phi_on_circle,
 )
+from .series import ComplexSeries
 
 #: Below this min |phi_f + phi_g| / 2 on the probe grid, recovering F from
 #: phi_F is numerically meaningless near the offending point.
@@ -39,41 +40,41 @@ PROBE_GRID = 4096
 
 
 @dataclass(frozen=True)
-class MeanResult:
+class MeanResult(JsonReport):
     mean: NormalizedFunction
     min_denominator_modulus: float
 
     def to_dict(self) -> dict:
         c = self.mean.phi.coeffs
         return {
-            "phi_coefficients": [[float(v.real), float(v.imag)] for v in c],
+            "phi_coefficients": np.column_stack([c.real, c.imag]).tolist(),
             "min_denominator_modulus": self.min_denominator_modulus,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     """F = 2fg/(f+g), built as the coefficientwise average of the phis.
 
-    The nonvanishing hypothesis on (f+g)/z is checked on a finite grid only
-    (radius 0.999, 4096 angles); this is a numerical surrogate, not a proof.
+    A phi of lower order is padded with zeros, so the mean keeps the longer
+    series' tail.  The nonvanishing hypothesis on (f+g)/z is checked on a
+    finite grid only (radius 0.999, 4096 angles); this is a numerical
+    surrogate, not a proof.
 
     Raises:
         DenominatorVanishes: if min |phi_f + phi_g|/2 on the probe grid is
             at or below 1e-6.
     """
-    _, pts = circle_grid(PROBE_RADIUS, PROBE_GRID)
-    denom = 0.5 * np.abs(f.phi.eval(pts) + g.phi.eval(pts))
-    md = float(np.min(denom))
-    if md <= EPS_DENOM:
-        raise DenominatorVanishes(
-            f"min |phi_f + phi_g|/2 = {md:.3e} on the probe grid")
-    phi_mean = (f.phi + g.phi).scale(0.5)
+    total = np.zeros(max(f.phi.coeffs.size, g.phi.coeffs.size), dtype=np.complex128)
+    for c in (f.phi.coeffs, g.phi.coeffs):
+        total[: c.size] += c
+    total *= 0.5
     label = f"mean({f.label or 'f'},{g.label or 'g'})"
-    return MeanResult(mean=NormalizedFunction(phi_mean, label),
-                      min_denominator_modulus=md)
+    mean = NormalizedFunction(ComplexSeries(total), label)
+    try:
+        _, phiv = phi_on_circle(mean, PROBE_RADIUS, PROBE_GRID, EPS_DENOM)
+    except PhiVanishes as exc:
+        raise DenominatorVanishes(f"(phi_f + phi_g)/2: {exc}") from exc
+    return MeanResult(mean=mean, min_denominator_modulus=float(np.min(np.abs(phiv))))
 
 
 def verify_closure(kind: FunctionalKind, f: NormalizedFunction,

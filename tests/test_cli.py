@@ -157,6 +157,13 @@ def test_radius_command(capsys):
     assert abs(data["class_radius"] - 2 ** -0.5) <= 1e-4
 
 
+def test_identity_honours_order(capsys):
+    code, out, err = run(capsys, "--order", "16", "mean", "identity", "identity",
+                         "--class", "U")
+    assert code == 0
+    assert len(json.loads(out)["phi_coefficients"]) == 17
+
+
 def test_boundary_csv(capsys):
     code, out, err = run(capsys, "boundary", "identity", "-r", "0.5", "--grid", "64")
     lines = out.strip().split("\n")
@@ -169,7 +176,7 @@ def test_boundary_csv(capsys):
 
 def test_boundary_svg(capsys, tmp_path):
     target = tmp_path / "curve.svg"
-    code, out, err = run(capsys, "boundary", "ex32:order=2048", "--svg",
+    code, out, err = run(capsys, "boundary", "ex32:order=2048", "--format", "svg",
                          "-o", str(target))
     assert code == 0
     text = target.read_text()
@@ -187,7 +194,7 @@ def test_show_config(capsys):
     assert code == 0
     data = json.loads(out)
     assert data == {"order": 128, "radii": [0.9, 0.99, 0.999], "grid": 4096,
-                    "tol": 1e-5, "output_format": "json", "seed": 0}
+                    "tol": 1e-5, "seed": 0}
 
 
 def test_env_overrides(capsys, monkeypatch):

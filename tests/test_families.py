@@ -6,6 +6,7 @@ import pytest
 from diskmean import (
     FamilySpec,
     FamilyVariant,
+    FunctionalKind,
     InvalidFamilyParams,
     a_theta,
     a_theta_grid,
@@ -22,6 +23,7 @@ from diskmean import (
     ex33_re_at_1,
     extend_table1,
     identity_function,
+    sup_on_circle,
     table1,
     table1_angle,
     zeta_constant,
@@ -298,6 +300,18 @@ def test_ex33_re_at_1_rejects_small_n():
 # ---------------------------------------------------------------------------
 # ex32 integral representation
 # ---------------------------------------------------------------------------
+
+def test_ex32_folded_sup_is_positive_sum():
+    # all tail coefficients are positive, so sup |M| on |z| = r is the
+    # value at z = r: sum_k r^k / (zeta(3) (k-1)^3)
+    order, r = 2 ** 15, 0.99
+    fn = build(FamilySpec(EX32, order=order))
+    k = np.arange(2, order + 1, dtype=float)
+    want = math.fsum((r ** k / (zeta_constant(3) * (k - 1.0) ** 3)).tolist())
+    rep = sup_on_circle(FunctionalKind.M, fn, r, 4096)
+    assert abs(rep.extremal_value - want) <= 1e-13 * want
+    assert rep.extremal_angle == 0.0
+
 
 def test_ex32_integral_identity():
     fn = build(FamilySpec(EX32, order=4096))

@@ -70,6 +70,16 @@ def test_closure_residual_trivial():
     assert verify_closure(U, f, f) == 0.0
 
 
+def test_mean_of_unequal_orders_keeps_longer_tail():
+    f = from_phi(ComplexSeries([1, 0.2]))
+    g = from_phi(ComplexSeries([1, 0, 0, 0.1]))
+    out = harmonic_mean(f, g)
+    want = np.array([1, 0.1, 0, 0.05], dtype=complex)
+    assert np.array_equal(out.mean.phi.coeffs, want)
+    for kind in FunctionalKind:
+        assert verify_closure(kind, f, g) <= 1e-12
+
+
 def test_closure_residual_budget_pair():
     f = build(FamilySpec(FamilyVariant.EX31, n=1))
     g = build(FamilySpec(FamilyVariant.EX31, n=2))

@@ -141,6 +141,47 @@ def test_eval_vectorized_matches_scalar():
         assert abs(s.eval(complex(z)) - v) <= 1e-15
 
 
+def _horner_loop(c, pts):
+    """Reference: one Horner step per coefficient."""
+    acc = np.full(pts.shape, c[-1], dtype=complex)
+    for k in range(c.size - 2, -1, -1):
+        acc = acc * pts + c[k]
+    return acc
+
+
+@pytest.mark.parametrize("order, points", [(5000, 64), (100_000, 16), (2000, 600)])
+def test_eval_blocks_match_horner_loop(order, points):
+    # blocks of 64 and of 256 coefficients (the power table then needs
+    # numpy's general complex power); 600 points go through in three chunks
+    rng = np.random.default_rng(41)
+    s = ball_coefficients(rng, order, decay=0.999)
+    pts = 0.99 * np.exp(2j * np.pi * rng.random(points))
+    mass = np.sum(np.abs(s.coeffs) * 0.99 ** np.arange(s.coeffs.size))
+    want = _horner_loop(s.coeffs, pts)
+    assert np.max(np.abs(s.eval(pts) - want)) <= 1e-13 * mass
+    assert abs(s.eval(complex(pts[0])) - want[0]) <= 1e-13 * mass
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999])
+def test_on_circle_fold_matches_horner(r):
+    # 10001 coefficients on 1024 points: every point sums ~10 aliases
+    s = ball_coefficients(np.random.default_rng(43), 10_000, decay=0.9995)
+    grid = 1024
+    pts = r * np.exp(1j * 2.0 * np.pi * np.arange(grid) / grid)
+    mass = np.sum(np.abs(s.coeffs) * r ** np.arange(s.coeffs.size))
+    got = s.on_circle(r, grid)
+    assert np.max(np.abs(got - _horner_loop(s.coeffs, pts))) <= 1e-13 * mass
+
+
+def test_on_circle_short_series_is_horner():
+    # Koebe's phi at order 128: the harmonic-mean probe compares its minimum
+    # on this circle, 1e-6 + 2e-21, with 1e-6, so it must round as Horner
+    # does over all 129 stored coefficients, trailing zeros included
+    s = ComplexSeries([1, -2, 1] + [0] * 126)
+    pts = 0.999 * np.exp(1j * 2.0 * np.pi * np.arange(4096) / 4096)
+    assert np.array_equal(s.on_circle(0.999, 4096), _horner_loop(s.coeffs, pts))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_eval_derivative_matches_finite_difference(seed):
