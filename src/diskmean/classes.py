@@ -24,7 +24,11 @@ from .series import ComplexSeries
 #: analytic where phi != 0, so its modulus over |z| <= r peaks on |z| = r.
 DEFAULT_RADII = (0.9, 0.99, 0.999)
 
+#: Default grids of the membership and starlikeness scans, and the default
+#: bisection tolerance of the radius search.
 DEFAULT_GRID = 4096
+STARLIKE_GRID = 8192
+RADIUS_TOL = 1e-5
 
 #: Starlikeness verdicts tolerate this much negativity: some families touch
 #: Re(zf'/f) = 0 on the boundary and rounding must not flip the verdict.
@@ -76,9 +80,6 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
     MemberByCoefficient if the coefficient sum is within the bound,
     MemberNumeric otherwise (scans pass but the sufficient test does not).
     """
-    radii = list(radii)
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError("all radii must lie in (0, 1)")
     total = coefficient_criterion(kind, f)
     scans = [sup_on_circle(kind, f, r, grid) for r in radii]
     if any(s.margin < -MARGIN_TOL for s in scans):
@@ -92,7 +93,7 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
 
 
 def starlike_scan(f: NormalizedFunction, radii=(0.999,),
-                  grid: int = 8192) -> StarlikeReport:
+                  grid: int = STARLIKE_GRID) -> StarlikeReport:
     """Minimum of Re(z f'(z)/f(z)) over the sampled circles.
 
     The quotient is evaluated as (phi - z phi')/phi, which is algebraically
@@ -104,8 +105,6 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
         PhiVanishes: if phi vanishes on the sampled set.
     """
     radii = list(radii)
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError("all radii must lie in (0, 1)")
     # phi - z phi' has coefficients b_k - k b_k, one order shorter like phi';
     # built in one pass, as phi - phi.derivative().shift_up() keeps three
     # more full-length temporaries and raised the ex32 peak RSS by about 8 MiB
@@ -131,7 +130,7 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
 
 
 def class_radius(kind: FunctionalKind, f: NormalizedFunction,
-                 tol: float = 1e-5, grid: int = 2048) -> float:
+                 tol: float = RADIUS_TOL, grid: int = 2048) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
 
     Bisection of sup_on_circle(kind, f, r) - bound over r in

@@ -28,11 +28,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 from .classes import (
     DEFAULT_GRID,
     DEFAULT_RADII,
+    RADIUS_TOL,
+    STARLIKE_GRID,
     check_membership,
     class_radius,
     starlike_scan,
@@ -50,18 +52,26 @@ from .series import DEFAULT_ORDER, ComplexSeries
 from .families import boundary_image
 
 
+#: Default grid of the ``boundary`` command.
+BOUNDARY_GRID = 2048
+
+#: Environment variables read as the global flags of the same settings.
+_ENV_FLAGS = {"DISKMEAN_ORDER": "--order", "DISKMEAN_GRID": "--grid",
+             "DISKMEAN_RADII": "--radii"}
+
+
 class SourceError(DiskMeanError):
     """A function-source string does not parse."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-wide defaults; flags and DISKMEAN_* env vars override."""
+    """Run-wide defaults; flags, and DISKMEAN_* env vars read as flags, override."""
 
     order: int = DEFAULT_ORDER
     radii: tuple[float, ...] = DEFAULT_RADII
     grid: int = DEFAULT_GRID
-    tol: float = 1e-5
+    tol: float = RADIUS_TOL
     seed: int = 0
 
     def validate(self) -> None:
@@ -171,7 +181,7 @@ def table_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def boundary_csv(r: float, points) -> str:
+def boundary_csv(points) -> str:
     grid = len(points) - 1
     lines = ["theta,re,im"]
     for j, w in enumerate(points):
@@ -245,7 +255,7 @@ def cmd_table1(args, config: RunConfig) -> int:
 def cmd_starlike(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, _opt(args, "order") is not None)
     report = starlike_scan(fn, config.radii if args.all_radii else (max(config.radii),),
-                           grid=_opt(args, "grid") or 8192)
+                           grid=_opt(args, "grid") or STARLIKE_GRID)
     _emit(_json_dump(report.to_dict()), args.output)
     return 0
 
@@ -260,11 +270,11 @@ def cmd_radius(args, config: RunConfig) -> int:
 
 def cmd_boundary(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, _opt(args, "order") is not None)
-    points = boundary_image(fn, args.radius, _opt(args, "grid") or 2048)
+    points = boundary_image(fn, args.radius, _opt(args, "grid") or BOUNDARY_GRID)
     if args.format == "svg":
         _emit(boundary_svg(points), args.output)
     else:
-        _emit(boundary_csv(args.radius, points), args.output)
+        _emit(boundary_csv(points), args.output)
     return 0
 
 
@@ -285,13 +295,15 @@ def _build_parser() -> _Parser:
     # clobbered by the subparser's defaults
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--order", type=int,
-                        help="series truncation order (default 128)")
+                        help=f"series truncation order (default {DEFAULT_ORDER})")
     common.add_argument("--grid", type=int,
-                        help="boundary grid size (default 4096)")
+                        help=f"circle grid size (default {DEFAULT_GRID}; "
+                        f"starlike {STARLIKE_GRID}, boundary {BOUNDARY_GRID})")
     common.add_argument("--radii", type=str,
-                        help="comma-separated scan radii (default 0.9,0.99,0.999)")
+                        help="comma-separated scan radii (default "
+                        f"{','.join(map(str, DEFAULT_RADII))})")
     common.add_argument("--tol", type=float,
-                        help="radius-search tolerance (default 1e-5)")
+                        help=f"radius-search tolerance (default {RADIUS_TOL:g})")
     common.add_argument("--seed", type=int,
                         help="seed for randomized checks (default 0)")
     common.add_argument("--show-config", action="store_true",
@@ -342,26 +354,11 @@ def _build_parser() -> _Parser:
 
 
 def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    env_order = os.environ.get("DISKMEAN_ORDER")
-    env_grid = os.environ.get("DISKMEAN_GRID")
-    env_radii = os.environ.get("DISKMEAN_RADII")
-    if env_order:
-        cfg = replace(cfg, order=int(env_order))
-    if env_grid:
-        cfg = replace(cfg, grid=int(env_grid))
-    if env_radii:
-        cfg = replace(cfg, radii=tuple(float(x) for x in env_radii.split(",")))
-    if _opt(args, "order") is not None:
-        cfg = replace(cfg, order=args.order)
-    if _opt(args, "grid") is not None:
-        cfg = replace(cfg, grid=args.grid)
-    if _opt(args, "radii") is not None:
-        cfg = replace(cfg, radii=tuple(float(x) for x in args.radii.split(",")))
-    if _opt(args, "tol") is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if _opt(args, "seed") is not None:
-        cfg = replace(cfg, seed=args.seed)
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    if "radii" in given:
+        given["radii"] = tuple(float(x) for x in given["radii"].split(","))
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 
@@ -371,8 +368,11 @@ def _opt(args, name):
 
 
 def main(argv=None) -> int:
+    # environment settings go in front, so a flag on the command line wins
+    env = [f"{flag}={os.environ[var]}" for var, flag in _ENV_FLAGS.items()
+           if os.environ.get(var)]
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(env + list(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from(args)
     except ValueError as exc:

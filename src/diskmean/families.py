@@ -126,8 +126,12 @@ def _budget_exact(alpha: float, weight: float, target: float) -> float:
     return alpha
 
 
-@lru_cache(maxsize=64)
-def _build_cached(spec: FamilySpec) -> NormalizedFunction:
+def build(spec: FamilySpec) -> NormalizedFunction:
+    """Construct the phi-series for a family member.
+
+    Raises:
+        InvalidFamilyParams: if the spec violates its parameter ranges.
+    """
     spec.validate()
     order = spec.effective_order()
     v = spec.variant
@@ -156,15 +160,6 @@ def _build_cached(spec: FamilySpec) -> NormalizedFunction:
         c[2:] = 1.0 / (z3 * (k - 1.0) ** 5)
         label = "ex32"
     return NormalizedFunction(ComplexSeries(c), label)
-
-
-def build(spec: FamilySpec) -> NormalizedFunction:
-    """Construct the phi-series for a family member.
-
-    Raises:
-        InvalidFamilyParams: if the spec violates its parameter ranges.
-    """
-    return _build_cached(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +358,12 @@ def extend_table1(n_from: int, n_to: int) -> list[tuple[int, float, float]]:
     return rows
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 120) -> float:
+def _golden_min(fn, lo: float, hi: float) -> float:
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - g * (hi - lo)
     d = lo + g * (hi - lo)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(120):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - g * (hi - lo)
@@ -425,7 +420,7 @@ def ex33_re_at_1(n: int, b: float, beta: float) -> float:
 # ex32 integral representation
 # ---------------------------------------------------------------------------
 
-def ex32_tail_by_integral(z: complex, nodes: int = _GAUSS_LAGUERRE_NODES) -> complex:
+def ex32_tail_by_integral(z: complex) -> complex:
     """sum_{k>=2} z^k/(k-1)^5 via its integral representation.
 
     Substituting u = log(1/t) turns the weighted interval integral into
@@ -433,7 +428,7 @@ def ex32_tail_by_integral(z: complex, nodes: int = _GAUSS_LAGUERRE_NODES) -> com
     handles without any endpoint singularity.  Independent of the stored
     coefficients; used to cross-check the ex32 construction.
     """
-    x, w = np.polynomial.laguerre.laggauss(nodes)
+    x, w = np.polynomial.laguerre.laggauss(_GAUSS_LAGUERRE_NODES)
     g = x ** 4 / (1.0 - complex(z) * np.exp(-x))
     return complex(z) ** 2 / 24.0 * complex(np.sum(w * g))
 
@@ -459,10 +454,6 @@ def boundary_image(f: NormalizedFunction, r: float, grid: int) -> np.ndarray:
     Raises:
         PhiVanishes: if phi vanishes on the circle.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    if grid < 3:
-        raise ValueError("grid must be at least 3")
     _, phiv = phi_on_circle(f, r, grid)
     end = r * np.exp(2j * np.pi)  # theta = 2 pi as a float, not exactly 0
     return np.append(circle_points(r, grid) / phiv, end / f.phi.eval(end))

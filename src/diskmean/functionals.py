@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotNormalized, PhiVanishes
-from .series import ComplexSeries, circle_angles
+from .series import DEFAULT_ORDER, ComplexSeries, circle_angles
 
 #: |phi(z)| at or below this is treated as a zero of phi (pole of 1/f).
 PHI_EPS = 1e-9
@@ -105,12 +105,12 @@ def from_phi(phi: ComplexSeries, label: str = "") -> NormalizedFunction:
     return NormalizedFunction(phi, label)
 
 
-def identity_function(order: int = 128) -> NormalizedFunction:
+def identity_function(order: int = DEFAULT_ORDER) -> NormalizedFunction:
     """f(z) = z, i.e. phi identically 1."""
     return NormalizedFunction(ComplexSeries.one(order), "identity")
 
 
-def koebe_function(order: int = 128) -> NormalizedFunction:
+def koebe_function(order: int = DEFAULT_ORDER) -> NormalizedFunction:
     """f(z) = z/(1-z)^2, i.e. phi = (1 - z)^2."""
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0], c[1], c[2] = 1.0, -2.0, 1.0
@@ -217,8 +217,13 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
     """Angles of the uniform grid on |z| = r and the values of phi there.
 
     Raises:
+        ValueError: unless 0 < r < 1 and grid >= 16.
         PhiVanishes: if min |phi| on the grid is at or below ``eps``.
     """
+    if not 0.0 < r < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
+    if grid < 16:
+        raise ValueError("grid must be at least 16")
     phiv = f.phi.on_circle(r, grid)
     low = float(np.min(np.abs(phiv)))
     if low <= eps:
@@ -243,10 +248,6 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
     Raises:
         PhiVanishes: if phi vanishes at a grid point (degenerate input).
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
     theta, _ = phi_on_circle(f, r, grid)
     # the largest modulus is the smallest of its negation
     low, idx = grid_min(-np.abs(functional_series(kind, f).on_circle(r, grid)))

@@ -73,23 +73,6 @@ class ComplexSeries:
         c[0] = 1.0
         return cls(c)
 
-    @classmethod
-    def monomial(cls, degree: int, coefficient: complex = 1.0,
-                 order: int | None = None) -> "ComplexSeries":
-        """c * z**degree stored at the given truncation order (>= degree)."""
-        order = degree if order is None else order
-        if order < degree:
-            raise ValueError("order must be at least the monomial degree")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[degree] = coefficient
-        return cls(c)
-
-    def truncate(self, order: int) -> "ComplexSeries":
-        """Copy of the series cut down to the given order (no extension)."""
-        if order >= self.order:
-            return self
-        return ComplexSeries(self.coeffs[: order + 1])
-
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
         more = "" if self.order < 4 else f", ... ({self.order + 1} coeffs)"

@@ -206,6 +206,68 @@ def test_env_overrides(capsys, monkeypatch):
     assert data["radii"] == [0.5, 0.9]
 
 
+def test_env_order_reaches_family_sources(capsys, monkeypatch):
+    monkeypatch.setenv("DISKMEAN_ORDER", "64")
+    code, out, err = run(capsys, "mean", "ex31:n=1", "ex31:n=1", "--class", "M")
+    assert code == 0
+    assert len(json.loads(out)["phi_coefficients"]) == 65
+
+
+def test_env_grid_reaches_boundary(capsys, monkeypatch):
+    monkeypatch.setenv("DISKMEAN_GRID", "64")
+    code, out, err = run(capsys, "boundary", "identity", "-r", "0.5")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 66
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid", "128", "boundary", "identity", "-r", "0.5"],
+    ["boundary", "identity", "-r", "0.5", "--grid", "128"],
+], ids=["before", "after"])
+def test_grid_flag_beats_env(capsys, monkeypatch, argv):
+    monkeypatch.setenv("DISKMEAN_GRID", "64")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 130
+
+
+ENV_CASES = [("DISKMEAN_ORDER", "--order", "16", "32"),
+             ("DISKMEAN_GRID", "--grid", "64", "128"),
+             ("DISKMEAN_RADII", "--radii", "0.5,0.9", "0.6")]
+
+
+@pytest.mark.parametrize("var, flag, value, other", ENV_CASES,
+                         ids=[case[0] for case in ENV_CASES])
+@pytest.mark.parametrize("argv", [
+    ["check", "--class", "M", "ex32"],
+    ["mean", "identity", "ex32", "--class", "M"],
+    ["table1", "--to", "3"],
+    ["starlike", "ex32", "--all-radii"],
+    ["starlike", "ex34:n=2"],  # its minimum lies between grid points
+    ["radius", "--class", "N", "ex32"],
+    ["boundary", "ex32", "-r", "0.5"],
+], ids=["check", "mean", "table1", "starlike-ex32", "starlike-ex34", "radius", "boundary"])
+def test_env_acts_as_its_flag(capsys, monkeypatch, argv, var, flag, value, other):
+    for name, *_ in ENV_CASES:
+        monkeypatch.delenv(name, raising=False)
+    # a small order keeps ex32 (10^6 terms by default) cheap
+    if var != "DISKMEAN_ORDER":
+        argv = argv + ["--order", "64"]
+    by_flag = run(capsys, *argv, flag, value)
+    monkeypatch.setenv(var, value)
+    assert run(capsys, *argv) == by_flag
+    monkeypatch.setenv(var, other)
+    assert run(capsys, *argv, flag, value) == by_flag
+
+
+@pytest.mark.parametrize("var", ["DISKMEAN_ORDER", "DISKMEAN_GRID"])
+def test_env_non_integer_exit_one(monkeypatch, var):
+    monkeypatch.setenv(var, "many")
+    with pytest.raises(SystemExit) as exc:
+        main(["--show-config"])
+    assert exc.value.code == 1
+
+
 def test_invalid_config_exit_one(capsys):
     code, out, err = run(capsys, "--radii", "1.5", "check",
                          "--class", "M", "identity")

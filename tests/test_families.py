@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_build_ex32_leading_coefficients():
     partial = np.sum((k - 1) ** 2 * np.abs(c[2:]))
     assert partial < 1.0
     assert abs(partial - 1.0) <= 1e-6
+
+
+def test_build_keeps_no_series_alive():
+    # 40 ex32 members of 2^16 coefficients hold 40 MiB while referenced
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for order in range(2 ** 16, 2 ** 16 + 40):
+            build(FamilySpec(EX32, order=order))
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 4 * 2 ** 20
 
 
 def test_build_ex33():

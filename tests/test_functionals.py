@@ -13,12 +13,14 @@ from diskmean import (
     NotNormalized,
     PhiVanishes,
     ball_coefficients,
+    boundary_image,
     build,
     from_phi,
     functional_eval_direct,
     functional_series,
     identity_function,
     koebe_function,
+    starlike_scan,
     sup_on_circle,
 )
 
@@ -194,12 +196,17 @@ def test_sup_triangle_bound():
             assert rep.extremal_value <= total + 1e-9
 
 
-def test_sup_rejects_bad_args():
+@pytest.mark.parametrize("scan", [
+    lambda fn, r, grid: sup_on_circle(U, fn, r, grid),
+    lambda fn, r, grid: starlike_scan(fn, (r,), grid),
+    boundary_image,
+], ids=["sup_on_circle", "starlike_scan", "boundary_image"])
+def test_sup_rejects_bad_args(scan):
     fn = identity_function(8)
     with pytest.raises(ValueError):
-        sup_on_circle(U, fn, 1.5, 64)
+        scan(fn, 1.5, 64)
     with pytest.raises(ValueError):
-        sup_on_circle(U, fn, 0.5, 8)
+        scan(fn, 0.5, 8)
 
 
 def test_sup_raises_on_phi_zero_inside():
