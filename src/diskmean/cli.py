@@ -287,7 +287,7 @@ class _Parser(argparse.ArgumentParser):
     # errors must exit 1 instead of argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> _Parser:

@@ -24,9 +24,16 @@ from .errors import LeadingCoefficientNearZero
 #: on |z| <= 0.999.
 DEFAULT_ORDER = 128
 
-#: Reciprocal refuses to run below this leading-coefficient modulus; the
-#: inversion recurrence amplifies noise past any useful tolerance there.
+#: Reciprocal refuses a leading coefficient of modulus at or below this:
+#: the inverse's k-th coefficient carries up to k + 1 factors of 1/a_0, by
+#: either algorithm, so noise would swamp every useful tolerance.
 EPS_LEAD = 1e-12
+
+# reciprocal runs the recurrence alone on at most _NEWTON_MIN coefficients
+# and seeds Newton iteration with it on longer series.  The recurrence and
+# gated Newton tie near 130 coefficients; of the limits 32, 64 and 128, 64
+# gave the least total time over 49..289 coefficients.
+_NEWTON_MIN = 64
 
 # eval splits a series of more than _BLOCK_MIN coefficients into blocks; at
 # 1025 coefficients and beyond the blocked form was faster than Horner at
@@ -140,8 +147,27 @@ class ComplexSeries:
     def reciprocal(self) -> "ComplexSeries":
         """Multiplicative inverse, same order.
 
-        Standard recurrence: r_0 = 1/a_0 and
-        r_k = -(1/a_0) * sum_{j=1..k} a_j r_{k-j}.
+        Up to 64 coefficients this is the standard recurrence r_0 = 1/a_0,
+        r_k = -(1/a_0) * sum_{j=1..k} a_j r_{k-j}.  A longer series goes
+        through Newton iteration r <- r(2 - a r) (Brent & Kung, "Fast
+        algorithms for manipulating formal power series", JACM 25, 1978),
+        seeded with the recurrence on at most the first 64 coefficients.
+        Each step about doubles the number m of known coefficients: with
+        E = (a r)[m:t], t <= 2m, the next block is r[m:t] = -(r E)[0:t-m].
+        Both products are FFTs, so N coefficients cost O(N log N) instead
+        of O(N^2).
+
+        FFT rounding is bounded relative to the operands' 2-norms, not
+        coefficient by coefficient, so the Newton result must pass a
+        residual gate at every degree k < N (N the number of coefficients):
+        |(a r - 1)_k| <= eps log2(2N) ||a_0..a_k||_2 ||r_0..r_k||_2, with
+        eps the double-precision machine epsilon.  Taking only the terms up
+        to degree k in the norms makes the gate hold each coefficient to
+        its own scale.  Where r's coefficients grow (a zero of a on or
+        inside the unit circle, as for Koebe's (1 - z)^2), rounding at the
+        scale of the large late terms swamps the small early ones and the
+        residual exceeds the gate by orders of magnitude; the result of the
+        recurrence is returned then, and also when the residual is NaN.
 
         Raises:
             LeadingCoefficientNearZero: if ``|a_0| <= 1e-12``.
@@ -150,12 +176,30 @@ class ComplexSeries:
         if abs(a[0]) <= EPS_LEAD:
             raise LeadingCoefficientNearZero(
                 f"|a_0| = {abs(a[0]):.3e} <= {EPS_LEAD}")
-        inv = 1.0 / a[0]
-        r = np.zeros(a.size, dtype=np.complex128)
-        r[0] = inv
-        for k in range(1, a.size):
-            r[k] = -inv * np.dot(a[1: k + 1], r[k - 1:: -1])
-        return ComplexSeries(r)
+        n = a.size
+        if n > _NEWTON_MIN:
+            # known counts n, ceil(n/2), ... down to the seed, so that every
+            # step doubles or nearly doubles and the last one ends at n
+            counts = [n]
+            while counts[-1] > _NEWTON_MIN:
+                counts.append((counts[-1] + 1) // 2)
+            m = counts.pop()
+            r = np.empty(n, dtype=np.complex128)
+            r[:m] = _recurrence(a[:m])
+            # overflow turns into inf/NaN, which the gate rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t in reversed(counts):
+                    # wrapped terms land below degree m, which is not read
+                    high = _fft_mul(a[:t], r[:m], t)[m:t]
+                    r[m:t] = -_fft_mul(r[:m], high, t)[: t - m]
+                    m = t
+                resid = _fft_mul(a, r, 2 * n - 1)[:n]
+                resid[0] -= 1.0
+                gate = np.finfo(np.float64).eps * np.log2(2 * n) * np.sqrt(
+                    np.cumsum(np.abs(a) ** 2) * np.cumsum(np.abs(r) ** 2))
+                if np.all(np.abs(resid) <= gate):  # False wherever NaN
+                    return ComplexSeries(r)
+        return ComplexSeries(_recurrence(a))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -221,6 +265,29 @@ def circle_angles(grid: int) -> np.ndarray:
 def circle_points(r: float, grid: int) -> np.ndarray:
     """The points r e^{i theta} of the :func:`circle_angles` grid."""
     return r * np.exp(1j * circle_angles(grid))
+
+
+def _recurrence(a: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/a by the recurrence, one coefficient at a time."""
+    inv = 1.0 / a[0]
+    r = np.zeros(a.size, dtype=np.complex128)
+    r[0] = inv
+    for k in range(1, a.size):
+        r[k] = -inv * np.dot(a[1: k + 1], r[k - 1:: -1])
+    return r
+
+
+def _fft_mul(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
+    """Cyclic convolution of x and y at the least length L >= ``size`` of
+    the form 2^j or 3 * 2^j (both fast FFT lengths).
+
+    Degree d < L holds the Cauchy product's coefficient of z^d plus that of
+    z^(d + L), if the product reaches that degree.
+    """
+    length = 1 << (size - 1).bit_length()
+    if 3 * length >= 4 * size:
+        length = 3 * length // 4
+    return np.fft.ifft(np.fft.fft(x, length) * np.fft.fft(y, length))
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -268,6 +268,21 @@ def test_env_non_integer_exit_one(monkeypatch, var):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--show-config"], {"DISKMEAN_GRID": "x"}),
+    (["check", "--grid", "x", "--class", "M", "identity"], {}),
+], ids=["env", "flag"])
+def test_argument_error_says_why(monkeypatch, capsys, argv, env):
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: diskmean")
+    assert "error: argument --grid: invalid int value: 'x'" in err
+
+
 def test_invalid_config_exit_one(capsys):
     code, out, err = run(capsys, "--radii", "1.5", "check",
                          "--class", "M", "identity")

@@ -146,6 +146,19 @@ def test_dual_path_agreement(seed):
         assert np.max(np.abs(via_series - via_direct)) <= 1e-9
 
 
+@pytest.mark.parametrize("kind, order", [(U, 2 ** 17), (P, 2 ** 17), (M, 2 ** 17),
+                                         (N, 2 ** 17), (U, 10 ** 6)],
+                         ids=["U-2^17", "P-2^17", "M-2^17", "N-2^17", "U-10^6"])
+def test_dual_path_agreement_ex32(kind, order):
+    # the literal path rebuilds f = z/phi from all order + 1 coefficients
+    fn = build(FamilySpec(FamilyVariant.EX32, order=order))
+    rng = np.random.default_rng(order)
+    pts = 0.95 * np.sqrt(rng.random(64)) * np.exp(2j * np.pi * rng.random(64))
+    via_series = functional_series(kind, fn).eval(pts)
+    via_direct = functional_eval_direct(kind, fn, pts)
+    assert np.max(np.abs(via_series - via_direct)) <= 1e-9
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_linearity_in_tail(seed):

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskmean import ComplexSeries, LeadingCoefficientNearZero, ball_coefficients
+import diskmean.series
+from diskmean import (
+    ComplexSeries,
+    FamilySpec,
+    FamilyVariant,
+    LeadingCoefficientNearZero,
+    ball_coefficients,
+    build,
+)
 
 
 def series(*coeffs):
@@ -101,6 +109,104 @@ def test_reciprocal_roundtrip_unit(seed):
     prod = (s * s.reciprocal()).coeffs.copy()
     prod[0] -= 1.0
     assert np.max(np.abs(prod)) <= 1e-10
+
+
+def test_reciprocal_one_coefficient():
+    assert_coeffs(series(2 - 2j).reciprocal(), [0.25 + 0.25j])
+
+
+def test_reciprocal_near_zero_lead_raises_on_long_series():
+    with pytest.raises(LeadingCoefficientNearZero):
+        ComplexSeries([1e-13] + [1.0] * 500).reciprocal()
+
+
+def _reciprocal_loop(a):
+    """Reference: the recurrence, one coefficient at a time."""
+    r = np.zeros(a.size, dtype=complex)
+    r[0] = 1.0 / a[0]
+    for k in range(1, a.size):
+        r[k] = -np.dot(a[1: k + 1], r[k - 1:: -1]) / a[0]
+    return r
+
+
+@pytest.fixture
+def recurrence_sizes(monkeypatch):
+    """Sizes of the inputs reciprocal hands to its recurrence."""
+    sizes = []
+    inner = diskmean.series._recurrence
+
+    def spy(a):
+        sizes.append(a.size)
+        return inner(a)
+
+    monkeypatch.setattr(diskmean.series, "_recurrence", spy)
+    return sizes
+
+
+_ACCEPTED = {
+    "ball": lambda order: ball_coefficients(np.random.default_rng(47), order),
+    "ex31": lambda order: build(FamilySpec(FamilyVariant.EX31, n=3, order=order)).phi,
+    "ex33": lambda order: build(FamilySpec(FamilyVariant.EX33, n=5, b=0.5, beta=1.0,
+                                           order=order)).phi,
+    "ex34-1": lambda order: build(FamilySpec(FamilyVariant.EX34, n=1, order=order)).phi,
+    "ex34-5": lambda order: build(FamilySpec(FamilyVariant.EX34, n=5, order=order)).phi,
+    "ex32": lambda order: build(FamilySpec(FamilyVariant.EX32, order=order)).phi,
+}
+
+
+@pytest.mark.parametrize("order", [2048, 8192])
+@pytest.mark.parametrize("name", list(_ACCEPTED))
+def test_reciprocal_newton_matches_recurrence(recurrence_sizes, name, order):
+    # phi has no zero in the closed disk, so 1/phi's coefficients stay
+    # bounded and Newton's result passes the residual gate
+    a = _ACCEPTED[name](order)
+    want = _reciprocal_loop(a.coeffs)
+    got = a.reciprocal().coeffs
+    assert len(recurrence_sizes) == 1 and recurrence_sizes[0] <= 64
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_reciprocal_koebe_falls_back_exact(recurrence_sizes):
+    # 1/(1-z)^2 = sum (k+1) z^k; Newton is off by about 2e3 max|r| here
+    got = ComplexSeries([1, -2, 1] + [0] * 8190).reciprocal().coeffs
+    assert recurrence_sizes[1:] == [8193]
+    assert np.array_equal(got, np.arange(1, 8194))
+
+
+@pytest.mark.parametrize("phi", [
+    np.convolve([1, -np.exp(0.7j)], [1, -np.exp(0.7j)]),
+    np.array([1, -1.01]),
+], ids=["koebe-rotated", "pole-inside"])
+def test_reciprocal_growing_coefficients_fall_back(recurrence_sizes, phi):
+    a = np.zeros(2049, dtype=complex)
+    a[: phi.size] = phi
+    want = _reciprocal_loop(a)
+    got = ComplexSeries(a).reciprocal().coeffs
+    assert recurrence_sizes[1:] == [2049]
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("q, size", [(2.0, 510), (1.5, 517), (2.0, 1024)])
+def test_reciprocal_zero_inside_falls_back(recurrence_sizes, q, size):
+    # 1/(1 - qz) = sum q^k z^k.  A gate on the 2-norms of all of a and r
+    # passes Newton's result at (2, 510), whose middle coefficients are off
+    # by up to 1e59 of their own size, and at (1.5, 517), where that norm
+    # overflows; at (2, 1024) the sum of r's coefficients, 2^1024 - 1,
+    # overflows in the FFT and the residual is NaN
+    a = np.zeros(size, dtype=complex)
+    a[:2] = [1.0, -q]
+    got = ComplexSeries(a).reciprocal().coeffs
+    assert recurrence_sizes[1:] == [size]
+    assert np.max(np.abs(got / q ** np.arange(size) - 1.0)) <= 1e-12
+
+
+def test_reciprocal_ex32_at_order_million():
+    a = build(FamilySpec(FamilyVariant.EX32, order=10 ** 6)).phi.coeffs
+    r = ComplexSeries(a).reciprocal().coeffs
+    size = 1 << 21
+    prod = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(r, size))[: a.size]
+    prod[0] -= 1.0
+    assert np.max(np.abs(prod)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
