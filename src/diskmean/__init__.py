@@ -20,6 +20,7 @@ from .functionals import (
     FunctionalKind,
     NormalizedFunction,
     ScanReport,
+    coefficient_criterion,
     from_phi,
     functional_eval_direct,
     functional_series,
@@ -33,7 +34,6 @@ from .classes import (
     StarlikeReport,
     check_membership,
     class_radius,
-    coefficient_criterion,
     starlike_scan,
 )
 from .means import MeanResult, harmonic_mean, verify_closure

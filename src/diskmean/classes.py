@@ -12,9 +12,9 @@ from .functionals import (
     JsonReport,
     NormalizedFunction,
     ScanReport,
+    coefficient_criterion,
     functional_series,  # noqa: F401  (a binding site bench/tracing.py wraps)
     grid_min,
-    kind_weights,
     phi_on_circle,
     sup_on_circle,
 )
@@ -60,18 +60,6 @@ class StarlikeReport(JsonReport):
     starlike_numeric: bool
 
 
-def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
-    """Weighted absolute coefficient sum of the functional's series.
-
-    This is the triangle-inequality membership test: the sup of the
-    functional over the disk is at most this sum, so a sum <= bound(kind)
-    certifies membership.  Weights per phi-coefficient b_k (k >= 2):
-    (k-1) for U, (k-1)^2 for M, (k-1)^3 for N, k(k-1) for P.
-    """
-    b = np.abs(f.phi.coeffs)
-    return float(np.sum(np.abs(kind_weights(kind, b.size)) * b[2:]))
-
-
 def check_membership(kind: FunctionalKind, f: NormalizedFunction,
                      radii=DEFAULT_RADII, grid: int = DEFAULT_GRID) -> MembershipReport:
     """Coefficient criterion plus one sup scan per radius.
@@ -79,9 +67,14 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
     Verdict: FailNumeric if any scan margin drops below -1e-9,
     MemberByCoefficient if the coefficient sum is within the bound,
     MemberNumeric otherwise (scans pass but the sufficient test does not).
+
+    Raises:
+        ValueError: if ``radii`` is empty.
     """
     total = coefficient_criterion(kind, f)
     scans = [sup_on_circle(kind, f, r, grid) for r in radii]
+    if not scans:
+        raise ValueError("radii must not be empty")
     if any(s.margin < -MARGIN_TOL for s in scans):
         verdict = FAIL_NUMERIC
     elif total <= kind.bound:
@@ -102,9 +95,12 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     accuracy near such points.  One complex division per grid point.
 
     Raises:
+        ValueError: if ``radii`` is empty.
         PhiVanishes: if phi vanishes on the sampled set.
     """
     radii = list(radii)
+    if not radii:
+        raise ValueError("radii must not be empty")
     # phi - z phi' has coefficients b_k - k b_k, one order shorter like phi';
     # built in one pass, as phi - phi.derivative().shift_up() keeps three
     # more full-length temporaries and raised the ex32 peak RSS by about 8 MiB
@@ -112,7 +108,7 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     numerator = ComplexSeries((b - b * np.arange(b.size))[: max(b.size - 1, 1)])
     best = np.inf
     best_angle = 0.0
-    best_radius = radii[0] if radii else 0.0
+    best_radius = radii[0]
     for r in radii:
         theta, phiv = phi_on_circle(f, r, grid)
         lo, idx = grid_min((numerator.on_circle(r, grid) / phiv).real)
@@ -133,17 +129,17 @@ def class_radius(kind: FunctionalKind, f: NormalizedFunction,
                  tol: float = RADIUS_TOL, grid: int = 2048) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
 
-    Bisection of sup_on_circle(kind, f, r) - bound over r in
-    [1e-3, 1 - 1e-4], at most 60 iterations.  Returns 1.0 when no violation
-    is found up to r = 1 - 1e-4; returns the bracket floor if the
-    functional already violates the bound there.
+    Bisection over r in [1e-3, 1 - 1e-4], at most 60 iterations; a scan
+    violates the bound by check_membership's rule (margin below -1e-9).
+    Returns 1.0 when no violation is found up to r = 1 - 1e-4; returns the
+    bracket floor if the functional already violates the bound there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-3, 1.0 - 1e-4
 
     def violated(r: float) -> bool:
-        return sup_on_circle(kind, f, r, grid).extremal_value > kind.bound
+        return sup_on_circle(kind, f, r, grid).margin < -MARGIN_TOL
 
     if not violated(hi):
         return 1.0

@@ -130,8 +130,6 @@ def parse_source(text: str, config: RunConfig,
         if not body:
             raise SourceError("phi: needs a coefficient list")
         coeffs = [_parse_complex(tok) for tok in body.split(",")]
-        if abs(coeffs[0] - 1.0) > 1e-12:
-            raise SourceError("phi coefficients must start with the constant 1")
         return NormalizedFunction(ComplexSeries(coeffs), text)
 
     variants = {v.value: v for v in FamilyVariant}
@@ -215,7 +213,7 @@ def boundary_svg(points) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, _opt(args, "order") is not None)
+    fn = parse_source(args.source, config, hasattr(args, "order"))
     kind = _parse_kind(args.klass)
     report = check_membership(kind, fn, config.radii, config.grid)
     _emit(_json_dump(report.to_dict()), args.output)
@@ -223,8 +221,8 @@ def cmd_check(args, config: RunConfig) -> int:
 
 
 def cmd_mean(args, config: RunConfig) -> int:
-    f = parse_source(args.f_source, config, _opt(args, "order") is not None)
-    g = parse_source(args.g_source, config, _opt(args, "order") is not None)
+    f = parse_source(args.f_source, config, hasattr(args, "order"))
+    g = parse_source(args.g_source, config, hasattr(args, "order"))
     kind = _parse_kind(args.klass)
     try:
         result = harmonic_mean(f, g)
@@ -253,15 +251,15 @@ def cmd_table1(args, config: RunConfig) -> int:
 
 
 def cmd_starlike(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, _opt(args, "order") is not None)
+    fn = parse_source(args.source, config, hasattr(args, "order"))
     report = starlike_scan(fn, config.radii if args.all_radii else (max(config.radii),),
-                           grid=_opt(args, "grid") or STARLIKE_GRID)
+                           config.grid)
     _emit(_json_dump(report.to_dict()), args.output)
     return 0
 
 
 def cmd_radius(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, _opt(args, "order") is not None)
+    fn = parse_source(args.source, config, hasattr(args, "order"))
     kind = _parse_kind(args.klass)
     value = class_radius(kind, fn, tol=config.tol, grid=config.grid)
     _emit(_json_dump({"kind": kind.value, "class_radius": value}), args.output)
@@ -269,8 +267,8 @@ def cmd_radius(args, config: RunConfig) -> int:
 
 
 def cmd_boundary(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, _opt(args, "order") is not None)
-    points = boundary_image(fn, args.radius, _opt(args, "grid") or BOUNDARY_GRID)
+    fn = parse_source(args.source, config, hasattr(args, "order"))
+    points = boundary_image(fn, args.radius, config.grid)
     if args.format == "svg":
         _emit(boundary_svg(points), args.output)
     else:
@@ -358,13 +356,11 @@ def _config_from(args) -> RunConfig:
              if hasattr(args, f.name)}
     if "radii" in given:
         given["radii"] = tuple(float(x) for x in given["radii"].split(","))
+    given.setdefault("grid", {"starlike": STARLIKE_GRID, "boundary": BOUNDARY_GRID}.get(
+        getattr(args, "command", None), DEFAULT_GRID))
     cfg = RunConfig(**given)
     cfg.validate()
     return cfg
-
-
-def _opt(args, name):
-    return getattr(args, name, None)
 
 
 def main(argv=None) -> int:
@@ -375,16 +371,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(env + list(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "show_config", False):
-        sys.stdout.write(_json_dump(asdict(config)))
-        return 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
+        if getattr(args, "show_config", False):
+            sys.stdout.write(_json_dump(asdict(config)))
+            return 0
+        if not getattr(args, "command", None):
+            parser.print_usage(sys.stderr)
+            return 1
         return args.func(args, config)
     except (DiskMeanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

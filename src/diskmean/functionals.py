@@ -71,11 +71,6 @@ _KIND_WEIGHTS = {
 }
 
 
-def kind_weights(kind: FunctionalKind, size: int) -> np.ndarray:
-    """Signed weights of b_2 .. b_(size-1) in the functional's series."""
-    return _KIND_WEIGHTS[kind](np.arange(1.0, size - 1))
-
-
 class NormalizedFunction:
     """Element of the normalized class, stored via its phi = z/f series."""
 
@@ -84,7 +79,8 @@ class NormalizedFunction:
     def __init__(self, phi: ComplexSeries, label: str = "") -> None:
         if abs(phi.coeffs[0] - 1.0) > 1e-12:
             raise NotNormalized(
-                f"phi(0) = {phi.coeffs[0]} but must be 1 (within 1e-12)")
+                f"phi(0) = {phi.coeffs[0]} but phi must start with the constant 1 "
+                "(within 1e-12)")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "label", label)
 
@@ -129,11 +125,26 @@ def functional_series(kind: FunctionalKind, f: NormalizedFunction) -> ComplexSer
     """
     b = f.phi.coeffs
     if kind is FunctionalKind.P:
-        return ComplexSeries(kind_weights(kind, b.size) * b[2:] if b.size > 2 else [0])
+        return ComplexSeries(
+            _KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1)) * b[2:] if b.size > 2 else [0])
     c = np.zeros_like(b)
     # in place, and no named temporaries: ex32 carries 10^6 terms
-    np.multiply(kind_weights(kind, b.size), b[2:], out=c[2:])
+    np.multiply(_KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1)), b[2:], out=c[2:])
     return ComplexSeries(c)
+
+
+def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
+    """Weighted absolute coefficient sum of the functional's series.
+
+    This is the triangle-inequality membership test: the sup of the
+    functional over the disk is at most this sum, so a sum <= bound(kind)
+    certifies membership.  Weights per phi-coefficient b_k (k >= 2):
+    (k-1) for U, (k-1)^2 for M, (k-1)^3 for N, k(k-1) for P.
+    """
+    # sum |w_k| |b_k|, not sum |w_k b_k|: the two round differently, and
+    # on-budget families such as ex33 sit exactly on the bound
+    b = np.abs(f.phi.coeffs)
+    return float(np.sum(np.abs(_KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1))) * b[2:]))
 
 
 # ---------------------------------------------------------------------------

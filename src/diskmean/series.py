@@ -54,7 +54,7 @@ class ComplexSeries:
         arr = np.array(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)

@@ -54,6 +54,29 @@ def test_phi_grammar_requires_unit_constant(capsys):
     assert "constant 1" in err
 
 
+@pytest.mark.parametrize("source, reason", [
+    ("phi:1,0.1+x", "bad complex literal"),
+    ("ex31:n", "expected key=value"),
+    ("ex31:b=0.5", "unknown key"),
+    ("phi:", "needs a coefficient list"),
+    ("ex34:n=two", "bad family parameter"),
+], ids=["complex-literal", "no-equals", "unknown-key", "phi-empty", "family-parameter"])
+def test_source_error_exit_one(capsys, source, reason):
+    code, out, err = run(capsys, "check", "--class", "M", source)
+    assert code == 1
+    assert out == ""
+    assert reason in err
+
+
+def test_check_koebe(capsys):
+    # phi = (1-z)^2: the N series is -z^2, on the budget exactly
+    code, out, err = run(capsys, "check", "--class", "N", "koebe")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "MemberByCoefficient"
+    assert data["coefficient_sum"] == 1.0
+
+
 def test_complex_literal_in_phi(capsys):
     code, out, err = run(capsys, "check", "--class", "U", "phi:1,0.1+0.2i")
     assert code == 0
@@ -197,6 +220,20 @@ def test_show_config(capsys):
                     "tol": 1e-5, "seed": 0}
 
 
+@pytest.mark.parametrize("argv, grid", [
+    (["check", "--class", "M", "identity"], 4096),
+    (["starlike", "identity"], 8192),
+    (["boundary", "identity"], 2048),
+    (["check", "--class", "M", "identity", "--grid", "512"], 512),
+    (["starlike", "identity", "--grid", "512"], 512),
+    (["boundary", "identity", "--grid", "512"], 512),
+], ids=["check", "starlike", "boundary", "check-grid", "starlike-grid", "boundary-grid"])
+def test_show_config_reports_command_grid(capsys, argv, grid):
+    code, out, err = run(capsys, *argv, "--show-config")
+    assert code == 0
+    assert json.loads(out)["grid"] == grid
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("DISKMEAN_GRID", "512")
     monkeypatch.setenv("DISKMEAN_RADII", "0.5,0.9")
@@ -288,6 +325,18 @@ def test_invalid_config_exit_one(capsys):
                          "--class", "M", "identity")
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--order", "4", "order must be >= 8"),
+    ("--grid", "8", "grid must be >= 16"),
+    ("--tol", "0", "tol must be > 0"),
+], ids=["order", "grid", "tol"])
+def test_invalid_setting_exit_one(capsys, flag, value, reason):
+    code, out, err = run(capsys, flag, value, "check", "--class", "M", "identity")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {reason}\n"
 
 
 def test_no_command_exit_one(capsys):

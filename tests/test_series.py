@@ -328,6 +328,11 @@ def test_invariants_rejected():
         ComplexSeries([1.0, np.inf])
 
 
+def test_infinite_imaginary_part_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        ComplexSeries([1.0, complex(1.0, np.inf)])
+
+
 def test_immutable():
     s = series(1, 2)
     with pytest.raises((AttributeError, ValueError)):
