@@ -24,6 +24,7 @@ membership failure, 3 vanishing harmonic-mean denominator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -288,7 +289,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: it holds no per-call state."""
     # SUPPRESS keeps options given before the subcommand from being
     # clobbered by the subparser's defaults
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

@@ -224,8 +224,12 @@ class ScanReport(JsonReport):
 
 
 def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
-                  eps: float = PHI_EPS) -> tuple[np.ndarray, np.ndarray]:
+                  eps: float = PHI_EPS, weight=None):
     """Angles of the uniform grid on |z| = r and the values of phi there.
+
+    With ``weight``, a polynomial of degree at most 3 in k, the values of
+    sum_{k>=2} weight(k) b_k z^k come third, from the same pass over phi's
+    coefficients (:meth:`ComplexSeries.weighted_on_circle`).
 
     Raises:
         ValueError: unless 0 < r < 1 and grid >= 16.
@@ -235,12 +239,13 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
         raise ValueError("radius must lie in (0, 1)")
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    phiv = f.phi.on_circle(r, grid)
-    low = float(np.min(np.abs(phiv)))
+    values = ((f.phi.on_circle(r, grid),) if weight is None
+              else f.phi.weighted_on_circle(weight, r, grid))
+    low = float(np.min(np.abs(values[0])))
     if low <= eps:
         raise PhiVanishes(
             f"min |phi| = {low:.3e} on |z| = {r:g}; the function has a pole there")
-    return circle_angles(grid), phiv
+    return (circle_angles(grid), *values)
 
 
 def grid_min(values: np.ndarray) -> tuple[float, int]:
@@ -253,15 +258,30 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
                   r: float, grid: int) -> ScanReport:
     """Max of |functional| over z = r e^{i theta} on a uniform angle grid.
 
-    Ties (within 1e-12) break toward the smallest angle, so the result does
-    not depend on evaluation order.
+    A functional series of at most ``grid`` coefficients is built and
+    evaluated by Horner.  A longer one is never built: its values come from
+    the pass over phi's coefficients that gives phi's values
+    (:meth:`ComplexSeries.weighted_on_circle`), to within a small multiple
+    of eps sum_k |w_k| |b_k| r^k, terms k < 2 left out exactly.  For P that
+    pass gives sum k(k-1) b_k z^k = z^2 P_f(z), so its modulus is divided
+    by r^2.  Ties (within 1e-12) break toward the smallest angle, so the
+    result does not depend on evaluation order.
 
     Raises:
+        ValueError: unless 0 < r < 1 and grid >= 16.
         PhiVanishes: if phi vanishes at a grid point (degenerate input).
     """
-    theta, _ = phi_on_circle(f, r, grid)
+    # P's series is phi'', two coefficients shorter than phi
+    shift = 2 if kind is FunctionalKind.P else 0
+    if f.phi.coeffs.size - shift <= grid:
+        theta, _ = phi_on_circle(f, r, grid)
+        modulus = np.abs(functional_series(kind, f).on_circle(r, grid))
+    else:
+        theta, _, values = phi_on_circle(
+            f, r, grid, weight=lambda k: _KIND_WEIGHTS[kind](k - 1.0))
+        modulus = np.abs(values) / r ** shift
     # the largest modulus is the smallest of its negation
-    low, idx = grid_min(-np.abs(functional_series(kind, f).on_circle(r, grid)))
+    low, idx = grid_min(-modulus)
     best = -low
     return ScanReport(
         kind=kind,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import diskmean.cli
 from diskmean.cli import main
 
 
@@ -318,6 +319,14 @@ def test_argument_error_says_why(monkeypatch, capsys, argv, env):
     assert exc.value.code == 1
     assert err.startswith("usage: diskmean")
     assert "error: argument --grid: invalid int value: 'x'" in err
+
+
+def test_parser_built_once(capsys):
+    diskmean.cli._build_parser.cache_clear()
+    assert run(capsys, "--show-config")[0] == 0
+    assert run(capsys, "check", "--class", "M", "identity")[0] == 0
+    info = diskmean.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_invalid_config_exit_one(capsys):

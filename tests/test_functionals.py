@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,71 @@ def test_scan_report_json_fields():
         "kind", "radius", "grid_size", "extremal_value", "extremal_angle", "margin"]
     assert data["kind"] == "U"
     assert data["margin"] == rep.kind.bound - rep.extremal_value
+
+
+# ---------------------------------------------------------------------------
+# sup_on_circle on series longer than the grid (the folded scan)
+# ---------------------------------------------------------------------------
+
+FOLD_SOURCES = {
+    "ex32@1e6": lambda: build(FamilySpec(FamilyVariant.EX32)),
+    "ex32@4097": lambda: build(FamilySpec(FamilyVariant.EX32, order=4096)),
+    "ex34n5@2^16": lambda: build(FamilySpec(FamilyVariant.EX34, n=5, order=2 ** 16)),
+    "ball@100003": lambda: from_phi(ball_coefficients(
+        np.random.default_rng(53), 100_002, decay=0.99995)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FOLD_SOURCES))
+def fold_source(request):
+    return FOLD_SOURCES[request.param]()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_folded_scan_matches_materialized_series(fold_source, kind):
+    series = functional_series(kind, fold_source)
+    degree = np.arange(series.coeffs.size)
+    for grid in (16, 64, 4096, 8192):
+        theta = 2.0 * np.pi * np.arange(grid) / grid
+        for r in (0.5, 0.9, 0.999):
+            rep = sup_on_circle(kind, fold_source, r, grid)
+            modulus = np.abs(series.on_circle(r, grid))
+            top = float(np.max(modulus))
+            scale = np.sum(np.abs(series.coeffs) * r ** degree)
+            assert abs(rep.extremal_value - top) <= 1e-13 * scale, (grid, r)
+            first = np.nonzero(modulus >= top - 1e-12)[0][0]
+            assert rep.extremal_angle == theta[first], (grid, r)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_folded_scan_raises_on_phi_zero(kind):
+    # phi = 1 - z/0.999 vanishes at the grid point z = 0.999
+    c = np.zeros(5000, dtype=complex)
+    c[0], c[1] = 1.0, -1.0 / 0.999
+    with pytest.raises(PhiVanishes):
+        sup_on_circle(kind, from_phi(ComplexSeries(c)), 0.999, 4096)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_folded_scan_rejects_bad_args(kind):
+    fn = build(FamilySpec(FamilyVariant.EX32, order=4096))
+    with pytest.raises(ValueError):
+        sup_on_circle(kind, fn, 0.5, 8)
+    for r in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(ValueError):
+            sup_on_circle(kind, fn, r, 4096)
+
+
+def test_folded_scan_memory_bounded():
+    fn = build(FamilySpec(FamilyVariant.EX32))
+    for kind in ALL_KINDS:
+        tracemalloc.start()
+        try:
+            sup_on_circle(kind, fn, 0.999, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, (kind, peak)
 
 
 # ---------------------------------------------------------------------------

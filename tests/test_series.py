@@ -288,6 +288,28 @@ def test_on_circle_short_series_is_horner():
     assert np.array_equal(s.on_circle(0.999, 4096), _horner_loop(s.coeffs, pts))
 
 
+@pytest.mark.parametrize("weight", [
+    lambda k: np.full_like(k, 3.0),
+    lambda k: -(k - 1.0),
+    lambda k: k * k - 5.0 * k,
+    lambda k: (k - 1.0) ** 3,
+], ids=["degree0", "degree1", "degree2", "degree3"])
+@pytest.mark.parametrize("size", [10, 64, 65, 1000])
+def test_weighted_on_circle_matches_horner(weight, size):
+    # fewer, as many and more coefficients than grid points; the weight is
+    # applied from k = 2 on
+    s = ball_coefficients(np.random.default_rng(size), size - 1, decay=0.99)
+    grid, r = 64, 0.7
+    k = np.arange(size, dtype=float)
+    w = np.where(k >= 2, weight(k), 0.0)
+    pts = r * np.exp(1j * 2.0 * np.pi * np.arange(grid) / grid)
+    plain, weighted = s.weighted_on_circle(weight, r, grid)
+    mass = np.sum(np.abs(s.coeffs) * r ** k)
+    assert np.max(np.abs(plain - _horner_loop(s.coeffs, pts))) <= 1e-13 * mass
+    mass = np.sum(np.abs(w * s.coeffs) * r ** k)
+    assert np.max(np.abs(weighted - _horner_loop(w * s.coeffs, pts))) <= 1e-13 * mass
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_eval_derivative_matches_finite_difference(seed):
