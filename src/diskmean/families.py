@@ -428,9 +428,18 @@ def ex32_tail_by_integral(z: complex) -> complex:
     handles without any endpoint singularity.  Independent of the stored
     coefficients; used to cross-check the ex32 construction.
     """
-    x, w = np.polynomial.laguerre.laggauss(_GAUSS_LAGUERRE_NODES)
+    x, w = _laguerre_rule()
     g = x ** 4 / (1.0 - complex(z) * np.exp(-x))
     return complex(z) ** 2 / 24.0 * complex(np.sum(w * g))
+
+
+@lru_cache(maxsize=1)
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # laggauss solves an eigenvalue problem; the rule is the same every call
+    x, w = np.polynomial.laguerre.laggauss(_GAUSS_LAGUERRE_NODES)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def ex32_tail_by_coefficients(fn: NormalizedFunction, z: complex) -> complex:

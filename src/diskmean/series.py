@@ -210,15 +210,19 @@ class ComplexSeries:
     def eval(self, z):
         """Horner evaluation at a complex point or an array of points.
 
-        Trailing zero coefficients are skipped; all others are used.  A
-        series of more than 1024 coefficients is cut into blocks of
+        Trailing zero coefficients are skipped; all others are used.  The
+        scan for them runs only when the last coefficient is zero, so a
+        series without any costs no pass over its coefficients.  A series
+        of more than 1024 coefficients is cut into blocks of
         L ~ sqrt(N) coefficients: one matrix product with the powers
         z**0 .. z**(L-1) gives every block's value, and Horner in z**L sums
         them, in about sqrt(N) array steps instead of N.  Truncation error
         grows quickly outside |z| <= 1.
         """
         pts = np.asarray(z, dtype=np.complex128)
-        c = self.coeffs[: self.coeffs.size - int(np.argmax(self.coeffs[::-1] != 0))]
+        c = self.coeffs
+        if c[-1] == 0:
+            c = c[: c.size - int(np.argmax(c[::-1] != 0))]
         if c.size <= _BLOCK_MIN:
             out = _horner(c, pts)
         else:

@@ -1,4 +1,6 @@
+import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from diskmean import (
     FamilyVariant,
     FunctionalKind,
     PhiVanishes,
+    ball_coefficients,
     build,
     check_membership,
     class_radius,
@@ -20,6 +23,8 @@ from diskmean import (
     sup_on_circle,
 )
 from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
+from diskmean.functionals import grid_min
+from diskmean.series import circle_angles
 
 U, P, M, N = (FunctionalKind.U, FunctionalKind.P,
               FunctionalKind.M, FunctionalKind.N)
@@ -201,6 +206,66 @@ def test_starlike_keeps_top_coefficient(coeffs, r, grid):
     exact = _starlike_exact_min(coeffs, r, grid)
     assert abs(rep.min_value - exact) <= 1e-9
     assert rep.starlike_numeric == (exact >= -1e-6)
+
+
+# long numerators: folded with phi, never built
+
+@functools.lru_cache(maxsize=None)
+def _ex32(order):
+    return build(FamilySpec(FamilyVariant.EX32, order=order))
+
+
+def _starlike_built_numerator(f, r, grid):
+    # Re((phi - z phi')/phi) with the whole numerator built and folded on
+    # its own by ComplexSeries.on_circle, apart from phi
+    b = f.phi.coeffs
+    num = ComplexSeries(b * (1.0 - np.arange(b.size))).on_circle(r, grid)
+    return grid_min((num / f.phi.on_circle(r, grid)).real)
+
+
+@pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("order, grid", [
+    (10 ** 6, 8192), (2 ** 17, 4096), (2 ** 17, 8192)])
+def test_starlike_folded_matches_built_numerator(order, grid, r):
+    fn = _ex32(order)
+    rep = starlike_scan(fn, radii=(r,), grid=grid)
+    want, idx = _starlike_built_numerator(fn, r, grid)
+    # the values are O(1), so the bound is absolute
+    assert abs(rep.min_value - want) <= 1e-13
+    assert rep.argmin_angle == circle_angles(grid)[idx]
+    assert rep.starlike_numeric == (want >= -1e-6)
+
+
+def test_starlike_folded_keeps_top_coefficient():
+    # 99 numerator coefficients on 64 points, and b_99 != 0
+    phi = ball_coefficients(np.random.default_rng(53), 99, decay=0.97)
+    assert phi.coeffs[-1] != 0
+    rep = starlike_scan(from_phi(phi), radii=(0.9,), grid=64)
+    assert abs(rep.min_value - _starlike_exact_min(phi.coeffs, 0.9, 64)) <= 1e-12
+
+
+def test_starlike_folded_keeps_checks():
+    c = np.zeros(10_000, dtype=complex)
+    c[0], c[1] = 1.0, -1.0 / 0.999
+    with pytest.raises(PhiVanishes):
+        starlike_scan(from_phi(ComplexSeries(c)), radii=(0.999,), grid=8192)
+    fn = _ex32(4096)
+    with pytest.raises(ValueError):
+        starlike_scan(fn, radii=(0.5,), grid=8)
+    for r in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(ValueError):
+            starlike_scan(fn, radii=(r,), grid=1024)
+
+
+def test_starlike_folded_memory_bounded():
+    fn = _ex32(10 ** 6)
+    tracemalloc.start()
+    try:
+        starlike_scan(fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_starlike_json_fields():

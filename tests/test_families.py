@@ -337,6 +337,14 @@ def test_ex32_integral_identity():
         assert abs(lhs - rhs) <= 1e-8
 
 
+def test_ex32_tail_by_integral_rule_reused():
+    z = 0.6 - 0.5j
+    first = ex32_tail_by_integral(z)
+    assert ex32_tail_by_integral(z) == first
+    x, w = np.polynomial.laguerre.laggauss(64)
+    assert first == z ** 2 / 24.0 * complex(np.sum(w * (x ** 4 / (1.0 - z * np.exp(-x)))))
+
+
 # ---------------------------------------------------------------------------
 # boundary images
 # ---------------------------------------------------------------------------

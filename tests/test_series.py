@@ -268,6 +268,28 @@ def test_eval_blocks_match_horner_loop(order, points):
     assert abs(s.eval(complex(pts[0])) - want[0]) <= 1e-13 * mass
 
 
+@pytest.mark.parametrize("zeros", [0, 3], ids=["no-trailing-zeros", "trailing-zeros"])
+@pytest.mark.parametrize("size", [1, 8, 1025, 100_001])
+def test_eval_skips_trailing_zeros(size, zeros):
+    rng = np.random.default_rng(size)
+    c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    c[size - min(zeros, size):] = 0.0  # size 1: the zero series
+    trimmed = c[: np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
+    pts = 0.9 * np.exp(2j * np.pi * rng.random(16))
+    s, cut = ComplexSeries(c), ComplexSeries(trimmed)
+    # beyond 1024 coefficients the reference is the blocked form on the
+    # trimmed coefficients
+    want = _horner_loop(trimmed, pts) if trimmed.size <= 1024 else cut.eval(pts)
+    assert np.array_equal(s.eval(pts), want)
+    assert s.eval(complex(pts[0])) == cut.eval(complex(pts[0]))
+
+
+def test_eval_zero_series():
+    pts = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert np.array_equal(ComplexSeries.zero().eval(pts), _horner_loop(np.zeros(1), pts))
+    assert ComplexSeries.zero().eval(0.5) == 0
+
+
 @pytest.mark.parametrize("r", [0.9, 0.999])
 def test_on_circle_fold_matches_horner(r):
     # 10001 coefficients on 1024 points: every point sums ~10 aliases
