@@ -19,7 +19,6 @@ from .functionals import (
     phi_on_circle,
     sup_on_circle,
 )
-from .series import ComplexSeries
 
 #: Membership is assessed on these circles by default; each functional is
 #: analytic where phi != 0, so its modulus over |z| <= r peaks on |z| = r.
@@ -96,15 +95,12 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     accuracy near such points.  One complex division per grid point.
 
     The numerator phi - z phi' = b_0 + sum_{k>=2} (1 - k) b_k z^k carries
-    U's weight.  When it would have more than ``grid`` coefficients it is
-    never built: its values are b_0 plus the weighted tail from the pass
+    U's weight, so its values are b_0 plus the weighted tail from the pass
     over phi's coefficients that gives phi's values
-    (:meth:`ComplexSeries.weighted_on_circle`), accurate to a small
-    multiple of eps sum_k (k - 1) |b_k| r^k, and every term is kept.  A
-    shorter numerator is built and evaluated by Horner, and is still cut
-    to phi's order less one, which drops its top term (1 - N) b_N z^N; the
-    fix changes pinned catalog answers, so it waits for the next change to
-    the benchmark's reference answers.
+    (:meth:`ComplexSeries.on_circle`); it is never built.  For phi of order
+    N <= grid the top term (1 - N) b_N z^N is then taken off again: the
+    reference answers of the benchmark pin that truncated minimum, so
+    keeping the term waits for the next change to them.
 
     Raises:
         ValueError: if ``radii`` is empty, a radius lies outside (0, 1) or
@@ -115,24 +111,18 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     if not radii:
         raise ValueError("radii must not be empty")
     b = f.phi.coeffs
-    # the numerator is one order shorter than phi, like phi'
-    folded = b.size - 1 > grid
-    if not folded:
-        # one pass, as phi - phi.derivative().shift_up() keeps three more
-        # full-length temporaries
-        numerator = ComplexSeries((b - b * np.arange(b.size))[: max(b.size - 1, 1)])
+    top = b.size - 1
     best = np.inf
     best_angle = 0.0
     best_radius = radii[0]
     for r in radii:
-        if folded:
-            # the weight 1 - k of b_k in phi - z phi' is U's
-            theta, phiv, tail = phi_on_circle(
-                f, r, grid, weight=lambda k: _KIND_WEIGHTS[FunctionalKind.U](k - 1.0))
-            numv = b[0] + tail
-        else:
-            theta, phiv = phi_on_circle(f, r, grid)
-            numv = numerator.on_circle(r, grid)
+        theta, phiv, tail = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[FunctionalKind.U])
+        numv = b[0] + tail
+        if 1 <= top <= grid:
+            # e^{i N theta_j} = e^{i theta_(N j mod grid)}: no large angle and
+            # no power of the points
+            numv -= (1 - top) * b[top] * r ** top * np.exp(
+                1j * theta[top * np.arange(grid) % grid])
         lo, idx = grid_min((numv / phiv).real)
         if lo < best:
             best = lo

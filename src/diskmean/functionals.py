@@ -61,13 +61,13 @@ class FunctionalKind(Enum):
 
 
 #: Signed weight of b_k (k >= 2) in each functional's series, as a
-#: function of j = k - 1.  The term sits at z^k for U, M and N, and at
+#: function of the degree k.  The term sits at z^k for U, M and N, and at
 #: z^(k-2) for P.
 _KIND_WEIGHTS = {
-    FunctionalKind.U: lambda j: -j,
-    FunctionalKind.P: lambda j: (j + 1.0) * j,
-    FunctionalKind.M: lambda j: j ** 2,
-    FunctionalKind.N: lambda j: -(j ** 3),
+    FunctionalKind.U: lambda k: 1.0 - k,
+    FunctionalKind.P: lambda k: k * (k - 1.0),
+    FunctionalKind.M: lambda k: (k - 1.0) ** 2,
+    FunctionalKind.N: lambda k: -((k - 1.0) ** 3),
 }
 
 
@@ -126,10 +126,10 @@ def functional_series(kind: FunctionalKind, f: NormalizedFunction) -> ComplexSer
     b = f.phi.coeffs
     if kind is FunctionalKind.P:
         return ComplexSeries(
-            _KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1)) * b[2:] if b.size > 2 else [0])
+            _KIND_WEIGHTS[kind](np.arange(2.0, b.size)) * b[2:] if b.size > 2 else [0])
     c = np.zeros_like(b)
     # in place, and no named temporaries: ex32 carries 10^6 terms
-    np.multiply(_KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1)), b[2:], out=c[2:])
+    np.multiply(_KIND_WEIGHTS[kind](np.arange(2.0, b.size)), b[2:], out=c[2:])
     return ComplexSeries(c)
 
 
@@ -142,9 +142,12 @@ def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
     (k-1) for U, (k-1)^2 for M, (k-1)^3 for N, k(k-1) for P.
     """
     # sum |w_k| |b_k|, not sum |w_k b_k|: the two round differently, and
-    # on-budget families such as ex33 sit exactly on the bound
-    b = np.abs(f.phi.coeffs)
-    return float(np.sum(np.abs(_KIND_WEIGHTS[kind](np.arange(1.0, b.size - 1))) * b[2:]))
+    # on-budget families such as ex33 sit exactly on the bound.  In place,
+    # as each full-length temporary costs about 1 ms on ex32's 10^6 terms
+    b = f.phi.coeffs
+    w = np.abs(_KIND_WEIGHTS[kind](np.arange(2.0, b.size)))
+    w *= np.abs(b[2:])
+    return float(np.sum(w))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
 
     With ``weight``, a polynomial of degree at most 3 in k, the values of
     sum_{k>=2} weight(k) b_k z^k come third, from the same pass over phi's
-    coefficients (:meth:`ComplexSeries.weighted_on_circle`).
+    coefficients (:meth:`ComplexSeries.on_circle`).
 
     Raises:
         ValueError: unless 0 < r < 1 and grid >= 16.
@@ -239,8 +242,9 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
         raise ValueError("radius must lie in (0, 1)")
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    values = ((f.phi.on_circle(r, grid),) if weight is None
-              else f.phi.weighted_on_circle(weight, r, grid))
+    values = f.phi.on_circle(r, grid, weight)
+    if weight is None:
+        values = (values,)
     low = float(np.min(np.abs(values[0])))
     if low <= eps:
         raise PhiVanishes(
@@ -258,28 +262,19 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
                   r: float, grid: int) -> ScanReport:
     """Max of |functional| over z = r e^{i theta} on a uniform angle grid.
 
-    A functional series of at most ``grid`` coefficients is built and
-    evaluated by Horner.  A longer one is never built: its values come from
-    the pass over phi's coefficients that gives phi's values
-    (:meth:`ComplexSeries.weighted_on_circle`), to within a small multiple
-    of eps sum_k |w_k| |b_k| r^k, terms k < 2 left out exactly.  For P that
-    pass gives sum k(k-1) b_k z^k = z^2 P_f(z), so its modulus is divided
-    by r^2.  Ties (within 1e-12) break toward the smallest angle, so the
-    result does not depend on evaluation order.
+    The functional's values come with phi's from one pass over phi's
+    coefficients (:meth:`ComplexSeries.on_circle` with the kind's weight),
+    so its series is never built.  For P that pass gives
+    sum k(k-1) b_k z^k = z^2 P_f(z), so its modulus is divided by r^2.
+    Ties (within 1e-12) break toward the smallest angle, so the result does
+    not depend on evaluation order.
 
     Raises:
         ValueError: unless 0 < r < 1 and grid >= 16.
         PhiVanishes: if phi vanishes at a grid point (degenerate input).
     """
-    # P's series is phi'', two coefficients shorter than phi
-    shift = 2 if kind is FunctionalKind.P else 0
-    if f.phi.coeffs.size - shift <= grid:
-        theta, _ = phi_on_circle(f, r, grid)
-        modulus = np.abs(functional_series(kind, f).on_circle(r, grid))
-    else:
-        theta, _, values = phi_on_circle(
-            f, r, grid, weight=lambda k: _KIND_WEIGHTS[kind](k - 1.0))
-        modulus = np.abs(values) / r ** shift
+    theta, _, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+    modulus = np.abs(values) / r ** (2 if kind is FunctionalKind.P else 0)
     # the largest modulus is the smallest of its negation
     low, idx = grid_min(-modulus)
     best = -low

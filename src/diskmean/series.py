@@ -42,7 +42,7 @@ _NEWTON_MIN = 64
 _BLOCK_MIN = 1024
 _CHUNK = 256
 
-# highest polynomial degree of the weights weighted_on_circle accepts
+# highest polynomial degree of the weights on_circle accepts
 _WEIGHT_DEGREE = 3
 
 
@@ -241,38 +241,23 @@ class ComplexSeries:
 
     __call__ = eval
 
-    def on_circle(self, r: float, grid: int) -> np.ndarray:
+    def on_circle(self, r: float, grid: int, weight=None):
         """Values at the points r e^{2 pi i j/grid}, j = 0..grid-1.
 
-        A series with at most ``grid`` coefficients is evaluated at those
-        points by :meth:`eval` (plain Horner up to 1024 coefficients).  A
-        longer one is folded first: z**k and z**(k mod grid) agree on the
-        grid, so summing c_k r**k over each residue class mod grid gives a
-        polynomial of degree below grid with the same values there, which
-        one inverse FFT evaluates (Henrici, SIAM Review 21, 1979).  No
-        coefficient is dropped either way, and the fold needs O(grid)
-        memory beyond the coefficients.  :meth:`weighted_on_circle` takes
-        the same fold with a polynomial weight on the coefficients, without
-        building the weighted series.
-        """
-        c = self.coeffs
-        if c.size <= grid:
-            return self.eval(circle_points(r, grid))
-        rows = c.size // grid
-        step = r ** grid
-        folded = np.power(step, np.arange(rows)) @ c[: rows * grid].reshape(rows, grid)
-        rest = c[rows * grid:]
-        folded[: rest.size] += step ** rows * rest
-        return np.fft.ifft(folded * np.power(r, np.arange(grid)), norm="forward")
+        With ``weight``, the result is the pair of those values and the
+        values of sum_{k>=2} weight(k) c_k z**k at the same points, from one
+        pass over the coefficients.  ``weight`` maps an array of degrees k
+        (as floats) to the weights and must be a polynomial in k of degree
+        at most 3.
 
-    def weighted_on_circle(self, weight, r: float,
-                           grid: int) -> tuple[np.ndarray, np.ndarray]:
-        """Values of the series and of sum_{k>=2} weight(k) c_k z**k at the
-        :meth:`on_circle` points, from one pass over the coefficients.
-
-        ``weight`` maps an array of degrees k (as floats) to the weights and
-        must be a polynomial in k of degree at most 3.  With G = grid,
-        k = qG + m and s = r**G, Newton's forward formula gives
+        A series of at most ``grid`` coefficients is evaluated at the points
+        by :meth:`eval` (plain Horner up to 1024 coefficients), and the
+        weighted series, built from it, by a second :meth:`eval`.  A longer
+        one is folded: z**k and z**(k mod G) agree on the grid (G = grid),
+        so summing c_k r**k over each residue class mod G gives a polynomial
+        of degree below G with the same values there, which one inverse FFT
+        evaluates (Henrici, SIAM Review 21, 1979).  With k = qG + m and
+        s = r**G, Newton's forward formula gives
         weight(m + qG) = sum_i d_i(m) binom(q, i), where d_i(m) is the i-th
         difference of the weight at m with step G (exact for integer
         weights below 2**53).  One matrix product of the moments
@@ -282,45 +267,53 @@ class ComplexSeries:
         The block q = 0 is added to each fold apart, weighted term by term
         with k < 2 left out exactly (subtracting those terms afterwards
         would lose accuracy where r**k is small); so is the partial last
-        block.  One inverse FFT then evaluates both folds.
+        block.  One inverse FFT then evaluates the folds.
 
-        For the weights of the four functionals the terms d_i(m) binom(q, i)
-        share one sign, bar one of modulus 1 at m = 0, so the weighted
-        values are accurate to a small multiple of
-        eps sum_k |weight(k)| |c_k| r**k.  Memory beyond the coefficients is
-        O(grid).  Unlike :meth:`on_circle`, this also folds a series of at
-        most ``grid`` coefficients (the block q = 0 alone).
+        No coefficient is dropped either way, and the fold needs O(grid)
+        memory beyond the coefficients.  For the weights of the four
+        functionals the terms d_i(m) binom(q, i) share one sign, bar one of
+        modulus 1 at m = 0, so the folded weighted values are accurate to a
+        small multiple of eps sum_k |weight(k)| |c_k| r**k.
         """
         c = self.coeffs
-        rows = max(c.size // grid, 1)
+        if c.size <= grid:
+            pts = circle_points(r, grid)
+            if weight is None:
+                return self.eval(pts)
+            w = np.zeros_like(c)
+            w[2:] = weight(np.arange(2.0, c.size)) * c[2:]
+            return self.eval(pts), ComplexSeries(w).eval(pts)
+        rows = c.size // grid
         step = r ** grid
         m = np.arange(grid, dtype=np.float64)
-        diffs = weight(m + grid * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
-        for i in range(1, diffs.shape[0]):
-            diffs[i:] = diffs[i:] - diffs[i - 1: -1]
-        # a weight of lower degree has exactly zero higher differences
-        while diffs.shape[0] > 1 and not diffs[-1].any():
-            diffs = diffs[:-1]
+        degree = 0
+        if weight is not None:
+            diffs = weight(m + grid * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
+            for i in range(1, diffs.shape[0]):
+                diffs[i:] = diffs[i:] - diffs[i - 1: -1]
+            # a weight of lower degree has exactly zero higher differences
+            while diffs.shape[0] > 1 and not diffs[-1].any():
+                diffs = diffs[:-1]
+            degree = diffs.shape[0] - 1
         q = np.arange(1.0, rows)
-        moments = np.empty((diffs.shape[0], q.size))
+        moments = np.empty((degree + 1, q.size))
         moments[0] = np.power(step, q)
-        for i in range(1, diffs.shape[0]):
+        for i in range(1, degree + 1):
             moments[i] = moments[i - 1] * (q - (i - 1)) / i
         # real moments times the coefficients' (re, im) pairs: half the
         # work of a complex product
         body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
         sums = (moments @ body).view(np.complex128)
-        folded = np.zeros((2, grid), dtype=np.complex128)
-        head = c[:grid]
-        folded[0, : head.size] = head
-        folded[1, 2: head.size] = weight(m[2: head.size]) * head[2:]
-        folded[0] += sums[0]
-        folded[1] += np.sum(diffs * sums, axis=0)
         tail = c[rows * grid:] * step ** rows
+        folded = np.zeros((1 if weight is None else 2, grid), dtype=np.complex128)
+        folded[0] = c[:grid] + sums[0]
         folded[0, : tail.size] += tail
-        folded[1, : tail.size] += weight(m[: tail.size] + rows * grid) * tail
-        plain, weighted = np.fft.ifft(folded * np.power(r, m), norm="forward")
-        return plain, weighted
+        if weight is not None:
+            folded[1, 2:] = weight(m[2:]) * c[2:grid]
+            folded[1] += np.sum(diffs * sums, axis=0)
+            folded[1, : tail.size] += weight(m[: tail.size] + rows * grid) * tail
+        values = np.fft.ifft(folded * np.power(r, m), norm="forward")
+        return values[0] if weight is None else (values[0], values[1])
 
 
 def circle_angles(grid: int) -> np.ndarray:

@@ -138,6 +138,11 @@ def test_starlike_identity():
     assert rep.starlike_numeric
 
 
+def test_starlike_constant_phi():
+    # phi = 1 has no top term to drop: z f'/f = 1
+    assert starlike_scan(from_phi(ComplexSeries([1])), grid=64).min_value == 1.0
+
+
 def test_starlike_budget_family_passes():
     fn = build(FamilySpec(FamilyVariant.EX31, n=1))
     rep = starlike_scan(fn, radii=(0.999,), grid=8192)

@@ -199,6 +199,13 @@ def test_sup_budget_family_M_tracks_r_cubed():
     assert abs(rep.extremal_value - 0.999 ** 3) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("coeffs", [[1], [1, 0.5 - 0.25j]], ids=["1-coeff", "2-coeffs"])
+def test_sup_short_phi_is_zero(coeffs, kind):
+    # every functional starts at b_2
+    assert sup_on_circle(kind, from_phi(ComplexSeries(coeffs)), 0.9, 64).extremal_value == 0.0
+
+
 def test_sup_triangle_bound():
     rng = np.random.default_rng(11)
     fn = from_phi(ball_coefficients(rng, 32, decay=0.5, mass=0.8))
@@ -245,6 +252,8 @@ def test_scan_report_json_fields():
 FOLD_SOURCES = {
     "ex32@1e6": lambda: build(FamilySpec(FamilyVariant.EX32)),
     "ex32@4097": lambda: build(FamilySpec(FamilyVariant.EX32, order=4096)),
+    "ex32@4098": lambda: build(FamilySpec(FamilyVariant.EX32, order=4097)),
+    "ball@129": lambda: from_phi(ball_coefficients(np.random.default_rng(47), 128)),
     "ex34n5@2^16": lambda: build(FamilySpec(FamilyVariant.EX34, n=5, order=2 ** 16)),
     "ball@100003": lambda: from_phi(ball_coefficients(
         np.random.default_rng(53), 100_002, decay=0.99995)),

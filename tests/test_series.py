@@ -325,7 +325,7 @@ def test_weighted_on_circle_matches_horner(weight, size):
     k = np.arange(size, dtype=float)
     w = np.where(k >= 2, weight(k), 0.0)
     pts = r * np.exp(1j * 2.0 * np.pi * np.arange(grid) / grid)
-    plain, weighted = s.weighted_on_circle(weight, r, grid)
+    plain, weighted = s.on_circle(r, grid, weight)
     mass = np.sum(np.abs(s.coeffs) * r ** k)
     assert np.max(np.abs(plain - _horner_loop(s.coeffs, pts))) <= 1e-13 * mass
     mass = np.sum(np.abs(w * s.coeffs) * r ** k)
