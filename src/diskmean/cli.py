@@ -241,7 +241,9 @@ def cmd_mean(args, config: RunConfig) -> int:
 
 def cmd_table1(args, config: RunConfig) -> int:
     rows = table1(args.n_from, args.n_to)
-    if args.extend and args.extend > args.n_to:
+    if args.extend is not None:
+        if args.extend <= args.n_to:
+            raise ValueError(f"--extend {args.extend} must exceed --to {args.n_to}")
         rows += extend_table1(args.n_to + 1, args.extend)
     if args.format == "json":
         payload = [{"n": n, "theta": t, "A_theta": v} for n, t, v in rows]
@@ -334,7 +336,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--from", dest="n_from", type=int, default=1)
     sp.add_argument("--to", dest="n_to", type=int, default=14)
     sp.add_argument("--extend", type=int, default=None,
-                    help="append golden-section rows up to this n")
+                    help="append golden-section rows from --to + 1 up to this n")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = add_parser("starlike", cmd_starlike, help="min Re(zf'/f) scan")

@@ -203,13 +203,15 @@ def a_theta(variant: FamilyVariant, n: int, theta):
     """
     if n < 1:
         raise InvalidFamilyParams("n must be >= 1")
-    a = _alpha(variant, n)
-    m = 2 * n + 1
-    t = np.asarray(theta, dtype=np.float64)
-    out = (1.0 + (1.0 - a) * np.cos(t) - a * (m - 2) * np.cos(m * t)
-           - a * (1.0 - a) * (m - 1) * np.cos((m - 1) * t)
-           - a * a * (m - 1))
+    out = _a_form(_alpha(variant, n), 2 * n + 1, np.asarray(theta, dtype=np.float64))
     return float(out) if np.isscalar(theta) else out
+
+
+def _a_form(a, m, t):
+    # A(t) for alpha a and degree m; a and m may be arrays shaped like t
+    return (1.0 + (1.0 - a) * np.cos(t) - a * (m - 2) * np.cos(m * t)
+            - a * (1.0 - a) * (m - 1) * np.cos((m - 1) * t)
+            - a * a * (m - 1))
 
 
 def a_theta_reduced(variant: FamilyVariant, n: int, theta):
@@ -343,35 +345,37 @@ def extend_table1(n_from: int, n_to: int) -> list[tuple[int, float, float]]:
     """Golden-section minimum of A near theta_n for larger n.
 
     Past n = 15 the fixed probe angle theta_n stops exhibiting the negative
-    dip, but a local minimization seeded there still finds it.  Each row is
-    (n, located angle, A at that angle); no claim beyond the numbers found.
+    dip, but a local minimization seeded there still finds it.  One batched
+    golden-section search covers all rows, each in the bracket
+    theta_n +- pi/(4n+3) capped at pi.  Each row is (n, located angle, A at
+    that angle); no claim beyond the numbers found.
     """
     if not 1 <= n_from <= n_to:
         raise ValueError("need 1 <= n_from <= n_to")
-    rows = []
-    for n in range(n_from, n_to + 1):
-        seed = table1_angle(n)
-        half = math.pi / (4 * n + 3)
-        lo, hi = seed - half, min(seed + half, math.pi)
-        theta = _golden_min(lambda t: a_theta(FamilyVariant.EX34, n, t), lo, hi)
-        rows.append((n, theta, a_theta(FamilyVariant.EX34, n, theta)))
-    return rows
+    n = np.arange(n_from, n_to + 1)
+    # _alpha and table1_angle are plain arithmetic in n, so they take the array
+    a, m, seed = _alpha(FamilyVariant.EX34, n), 2 * n + 1, table1_angle(n)
+    half = math.pi / (4 * n + 3)
+    theta = _golden_min(lambda t: _a_form(a, m, t),
+                        seed - half, np.minimum(seed + half, math.pi))
+    return list(zip(n.tolist(), theta.tolist(), _a_form(a, m, theta).tolist()))
 
 
-def _golden_min(fn, lo: float, hi: float) -> float:
+def _golden_min(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # Golden-section search on every bracket [lo_i, hi_i] at once, fn acting
+    # elementwise: each bracket keeps its left part where fc < fd, else its right.
     g = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - g * (hi - lo)
     d = lo + g * (hi - lo)
     fc, fd = fn(c), fn(d)
     for _ in range(120):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - g * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + g * (hi - lo)
-            fd = fn(d)
+        left = fc < fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        fx = fn(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (lo + hi)
 
 

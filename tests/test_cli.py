@@ -149,6 +149,15 @@ def test_table_extend(capsys):
     assert float(last[2]) < 0
 
 
+@pytest.mark.parametrize("to, extend", [("14", "0"), ("14", "14"), ("5", "3")],
+                         ids=["zero", "equal", "below"])
+def test_table_extend_not_past_to_exit_one(capsys, to, extend):
+    code, out, err = run(capsys, "table1", "--to", to, "--extend", extend)
+    assert code == 1
+    assert out == ""
+    assert f"--extend {extend}" in err and f"--to {to}" in err
+
+
 def test_table_json(capsys):
     code, out, err = run(capsys, "table1", "--to", "3", "--format", "json")
     data = json.loads(out)

@@ -272,11 +272,50 @@ def test_table_rejects_bad_range():
         table1(0, 4)
 
 
-def test_extended_rows_negative():
-    rows = extend_table1(15, 16)
+def _scalar_golden_row(n):
+    # reference: the scalar search, one bracket at a time
+    seed, half = table1_angle(n), math.pi / (4 * n + 3)
+    lo, hi = seed - half, min(seed + half, math.pi)
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = a_theta(EX34, n, c), a_theta(EX34, n, d)
+    for _ in range(120):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = a_theta(EX34, n, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = a_theta(EX34, n, d)
+    theta = 0.5 * (lo + hi)
+    return theta, a_theta(EX34, n, theta)
+
+
+def test_extended_rows_match_scalar_search():
+    rows = extend_table1(1, 200)
+    assert [n for n, _, _ in rows] == list(range(1, 201))
     for n, theta, value in rows:
+        ref_theta, ref_value = _scalar_golden_row(n)
+        assert abs(theta - ref_theta) <= 1e-6, (n, theta, ref_theta)
+        assert abs(value - ref_value) <= 1e-12, (n, value, ref_value)
+
+
+def test_extended_rows_negative():
+    # each row is negative and reaches the least value of a dense sample
+    # of its bracket
+    for n, theta, value in extend_table1(15, 200):
+        seed, half = table1_angle(n), math.pi / (4 * n + 3)
+        dense = a_theta(EX34, n, np.linspace(seed - half, min(seed + half, math.pi), 20_001))
         assert value < 0, (n, theta, value)
         assert 0 < theta <= math.pi
+        assert value <= dense.min() + 1e-12, (n, value, dense.min())
+
+
+@pytest.mark.parametrize("n_from, n_to", [(0, 4), (5, 4)])
+def test_extend_table1_rejects_bad_range(n_from, n_to):
+    with pytest.raises(ValueError):
+        extend_table1(n_from, n_to)
 
 
 # ---------------------------------------------------------------------------
