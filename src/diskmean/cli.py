@@ -18,7 +18,7 @@ z/f series from the constant term up; the constant must be 1.  Complex
 literals are written ``a+bi``.
 
 Exit codes: 0 success/member, 1 parse or evaluation error, 2 numeric
-membership failure, 3 vanishing harmonic-mean denominator.
+membership failure, 3 harmonic-mean denominator zero on or inside |z| = 0.999.
 """
 
 from __future__ import annotations

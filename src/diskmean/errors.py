@@ -18,7 +18,7 @@ class PhiVanishes(DiskMeanError):
 
 
 class DenominatorVanishes(DiskMeanError):
-    """The averaged phi of a harmonic mean is numerically zero on the probe grid."""
+    """The averaged phi of a harmonic mean vanishes on or inside the probe circle."""
 
 
 class InvalidFamilyParams(DiskMeanError):

@@ -234,8 +234,7 @@ class ScanReport(JsonReport):
     margin: float
 
 
-def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
-                  eps: float = PHI_EPS, weight=None):
+def phi_on_circle(f: NormalizedFunction, r: float, grid: int, weight=None):
     """Angles of the uniform grid on |z| = r and the values of phi there.
 
     With ``weight``, a polynomial of degree at most 3 in k, the values of
@@ -244,7 +243,7 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
 
     Raises:
         ValueError: unless 0 < r < 1 and grid >= 16.
-        PhiVanishes: if min |phi| on the grid is at or below ``eps``.
+        PhiVanishes: if min |phi| on the grid is at or below 1e-9.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("radius must lie in (0, 1)")
@@ -254,7 +253,7 @@ def phi_on_circle(f: NormalizedFunction, r: float, grid: int,
     if weight is None:
         values = (values,)
     low = float(np.min(np.abs(values[0])))
-    if low <= eps:
+    if low <= PHI_EPS:
         raise PhiVanishes(
             f"min |phi| = {low:.3e} on |z| = {r:g}; the function has a pole there")
     return (circle_angles(grid), *values)

@@ -11,8 +11,9 @@ linear in the phi tail, hence
 
 exactly, and membership of F in a class follows from membership of f and g
 by the triangle inequality whenever (f + g)/z does not vanish on the disk.
-That hypothesis is probed numerically on a boundary grid; construction is
-refused when it fails.
+That hypothesis is probed on the circle |z| = 0.999: construction is refused
+when phi_F vanishes on it or winds around 0 along it, i.e. has zeros inside
+it (the argument principle).
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ from .functionals import (
     phi_on_circle,
 )
 from .series import ComplexSeries
-
-#: Below this min |phi_f + phi_g| / 2 on the probe grid, recovering F from
-#: phi_F is numerically meaningless near the offending point.
-EPS_DENOM = 1e-6
 
 PROBE_RADIUS = 0.999
 PROBE_GRID = 4096
@@ -56,13 +53,15 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     """F = 2fg/(f+g), built as the coefficientwise average of the phis.
 
     A phi of lower order is padded with zeros, so the mean keeps the longer
-    series' tail.  The nonvanishing hypothesis on (f+g)/z is checked on a
-    finite grid only (radius 0.999, 4096 angles); this is a numerical
-    surrogate, not a proof.
+    series' tail.  The nonvanishing hypothesis on (f+g)/z is probed on a
+    finite grid (radius 0.999, 4096 angles): phi_F must not vanish there by
+    :func:`phi_on_circle`'s rule, and the winding number of its values (the
+    count of phi_F's zeros inside) must be 0.  This is a numerical
+    surrogate, not a proof; min |phi_F| is reported as a diagnostic only.
 
     Raises:
-        DenominatorVanishes: if min |phi_f + phi_g|/2 on the probe grid is
-            at or below 1e-6.
+        DenominatorVanishes: if phi_F vanishes on the probe grid or has
+            zeros inside the probe circle.
     """
     total = np.zeros(max(f.phi.coeffs.size, g.phi.coeffs.size), dtype=np.complex128)
     for c in (f.phi.coeffs, g.phi.coeffs):
@@ -71,9 +70,14 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     label = f"mean({f.label or 'f'},{g.label or 'g'})"
     mean = NormalizedFunction(ComplexSeries(total), label)
     try:
-        _, phiv = phi_on_circle(mean, PROBE_RADIUS, PROBE_GRID, EPS_DENOM)
+        _, phiv = phi_on_circle(mean, PROBE_RADIUS, PROBE_GRID)
     except PhiVanishes as exc:
         raise DenominatorVanishes(f"(phi_f + phi_g)/2: {exc}") from exc
+    phase = np.unwrap(np.angle(np.append(phiv, phiv[0])))
+    zeros = round(float(np.sum(np.diff(phase))) / (2.0 * np.pi))
+    if zeros:
+        raise DenominatorVanishes(f"(phi_f + phi_g)/2 has zero count {zeros} inside "
+                                  f"|z| = {PROBE_RADIUS:g} (its winding number there)")
     return MeanResult(mean=mean, min_denominator_modulus=float(np.min(np.abs(phiv))))
 
 

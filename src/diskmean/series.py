@@ -210,7 +210,8 @@ class ComplexSeries:
     def eval(self, z):
         """Horner evaluation at a complex point or an array of points.
 
-        Trailing zero coefficients are skipped; all others are used.  The
+        This serves scattered points; values on a whole circle come from
+        :meth:`on_circle`.  Trailing zero coefficients are skipped.  The
         scan for them runs only when the last coefficient is zero, so a
         series without any costs no pass over its coefficients.  A series
         of more than 1024 coefficients is cut into blocks of
@@ -250,69 +251,64 @@ class ComplexSeries:
         (as floats) to the weights and must be a polynomial in k of degree
         at most 3.
 
-        A series of at most ``grid`` coefficients is evaluated at the points
-        by :meth:`eval` (plain Horner up to 1024 coefficients), and the
-        weighted series, built from it, by a second :meth:`eval`.  A longer
-        one is folded: z**k and z**(k mod G) agree on the grid (G = grid),
-        so summing c_k r**k over each residue class mod G gives a polynomial
-        of degree below G with the same values there, which one inverse FFT
-        evaluates (Henrici, SIAM Review 21, 1979).  With k = qG + m and
-        s = r**G, Newton's forward formula gives
-        weight(m + qG) = sum_i d_i(m) binom(q, i), where d_i(m) is the i-th
-        difference of the weight at m with step G (exact for integer
-        weights below 2**53).  One matrix product of the moments
-        binom(q, i) s**q, q >= 1, with the coefficients seen as rows of G
-        gives the rows S_i[m] = sum_{q>=1} binom(q, i) s**q c_{qG+m}; the
-        weighted fold is sum_i d_i(m) S_i[m] and the plain fold S_0[m].
-        The block q = 0 is added to each fold apart, weighted term by term
-        with k < 2 left out exactly (subtracting those terms afterwards
-        would lose accuracy where r**k is small); so is the partial last
-        block.  One inverse FFT then evaluates the folds.
+        Every length goes through one fold (Henrici, SIAM Review 21, 1979):
+        z**k and z**(k mod G) agree on the grid (G = grid), so summing
+        c_k r**k over each residue class mod G gives a polynomial of degree
+        below G with the same values there, which one inverse FFT evaluates.
+        The block q = 0, the first min(N + 1, G) coefficients, is taken term
+        by term, weighted with k < 2 left out exactly (subtracting those
+        terms afterwards would lose accuracy where r**k is small); so is the
+        partial last block.  Only a series with full rows of G past the
+        first also needs the moments: with k = qG + m and s = r**G, Newton's
+        forward formula gives weight(m + qG) = sum_i d_i(m) binom(q, i),
+        where d_i(m) is the i-th difference of the weight at m with step G
+        (exact for integer weights below 2**53).  One matrix product of the
+        moments binom(q, i) s**q, q >= 1, with those rows gives
+        S_i[m] = sum_{q>=1} binom(q, i) s**q c_{qG+m}; the weighted fold
+        gains sum_i d_i(m) S_i[m] and the plain fold S_0[m].
 
-        No coefficient is dropped either way, and the fold needs O(grid)
-        memory beyond the coefficients.  For the weights of the four
-        functionals the terms d_i(m) binom(q, i) share one sign, bar one of
-        modulus 1 at m = 0, so the folded weighted values are accurate to a
-        small multiple of eps sum_k |weight(k)| |c_k| r**k.
+        No coefficient is dropped, and the fold needs O(grid) memory beyond
+        the coefficients.  For the weights of the four functionals the terms
+        d_i(m) binom(q, i) share one sign, bar one of modulus 1 at m = 0,
+        so the weighted values are accurate to a small multiple of
+        eps log2(grid) sum_k |weight(k)| |c_k| r**k.
         """
         c = self.coeffs
-        if c.size <= grid:
-            pts = circle_points(r, grid)
-            if weight is None:
-                return self.eval(pts)
-            w = np.zeros_like(c)
-            w[2:] = weight(np.arange(2.0, c.size)) * c[2:]
-            return self.eval(pts), ComplexSeries(w).eval(pts)
-        rows = c.size // grid
+        head = min(c.size, grid)
+        rows = max(c.size // grid, 1)
         step = r ** grid
-        m = np.arange(grid, dtype=np.float64)
-        degree = 0
-        if weight is not None:
-            diffs = weight(m + grid * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
-            for i in range(1, diffs.shape[0]):
-                diffs[i:] = diffs[i:] - diffs[i - 1: -1]
-            # a weight of lower degree has exactly zero higher differences
-            while diffs.shape[0] > 1 and not diffs[-1].any():
-                diffs = diffs[:-1]
-            degree = diffs.shape[0] - 1
-        q = np.arange(1.0, rows)
-        moments = np.empty((degree + 1, q.size))
-        moments[0] = np.power(step, q)
-        for i in range(1, degree + 1):
-            moments[i] = moments[i - 1] * (q - (i - 1)) / i
-        # real moments times the coefficients' (re, im) pairs: half the
-        # work of a complex product
-        body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
-        sums = (moments @ body).view(np.complex128)
-        tail = c[rows * grid:] * step ** rows
+        m = np.arange(head, dtype=np.float64)
         folded = np.zeros((1 if weight is None else 2, grid), dtype=np.complex128)
-        folded[0] = c[:grid] + sums[0]
+        if rows > 1:
+            degree = 0
+            if weight is not None:
+                diffs = weight(m + grid * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
+                for i in range(1, diffs.shape[0]):
+                    diffs[i:] = diffs[i:] - diffs[i - 1: -1]
+                # a weight of lower degree has exactly zero higher differences
+                while diffs.shape[0] > 1 and not diffs[-1].any():
+                    diffs = diffs[:-1]
+                degree = diffs.shape[0] - 1
+            q = np.arange(1.0, rows)
+            moments = np.empty((degree + 1, q.size))
+            moments[0] = np.power(step, q)
+            for i in range(1, degree + 1):
+                moments[i] = moments[i - 1] * (q - (i - 1)) / i
+            # real moments times the coefficients' (re, im) pairs: half the
+            # work of a complex product
+            body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
+            sums = (moments @ body).view(np.complex128)
+            folded[0] = sums[0]
+            if weight is not None:
+                folded[1] = np.sum(diffs * sums, axis=0)
+        tail = c[rows * grid:] * step ** rows
+        folded[0, :head] += c[:head]
         folded[0, : tail.size] += tail
         if weight is not None:
-            folded[1, 2:] = weight(m[2:]) * c[2:grid]
-            folded[1] += np.sum(diffs * sums, axis=0)
+            folded[1, 2:head] += weight(m[2:]) * c[2:head]
             folded[1, : tail.size] += weight(m[: tail.size] + rows * grid) * tail
-        values = np.fft.ifft(folded * np.power(r, m), norm="forward")
+        folded[:, :head] *= np.power(r, m)
+        values = np.fft.ifft(folded, norm="forward")
         return values[0] if weight is None else (values[0], values[1])
 
 

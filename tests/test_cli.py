@@ -118,6 +118,32 @@ def test_mean_denominator_vanishes_exit_three(capsys):
     assert out == ""
 
 
+# (1 + z/1.05)^4 and (1 - z/1.05)^4, whose average vanishes at |z| = 0.435
+_INTERIOR = tuple("phi:" + ",".join(repr(sign ** k * b / 1.05 ** k)
+                                    for k, b in enumerate([1, 4, 6, 4, 1]))
+                  for sign in (1, -1))
+
+
+@pytest.mark.parametrize("argv", [
+    _INTERIOR,
+    ("koebe", "phi:1,-2j,-1"),
+    ("phi:1,3", "phi:1,3"),
+], ids=["interior-pair", "koebe-phi", "pole-self"])
+def test_mean_zeros_inside_exit_three_no_output(capsys, tmp_path, argv):
+    out_file = tmp_path / "mean.json"
+    code, out, err = run(capsys, "mean", *argv, "--class", "M", "-o", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert "zero count" in err
+    assert not out_file.exists()
+
+
+def test_mean_koebe_accepted(capsys):
+    code, out, err = run(capsys, "mean", "koebe", "koebe", "--class", "U")
+    assert code == 0
+    assert json.loads(out)["min_denominator_modulus"] > 0
+
+
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ from diskmean import (
     ball_coefficients,
     boundary_image,
     build,
+    check_membership,
+    class_radius,
     from_phi,
     functional_eval_direct,
     functional_series,
+    harmonic_mean,
     identity_function,
     koebe_function,
     starlike_scan,
@@ -310,6 +313,41 @@ def test_folded_scan_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20, (kind, peak)
+
+
+@pytest.mark.parametrize("source, grid", [
+    (lambda: from_phi(ball_coefficients(np.random.default_rng(59), 128)), 4096),
+    (lambda: build(FamilySpec(FamilyVariant.EX32, order=4096)), 8192),
+], ids=["ball@129", "ex32@4097"])
+def test_scans_never_call_eval(monkeypatch, source, grid):
+    # every circle scan reads its values from on_circle alone, at any length
+    fn = source()
+
+    def refuse(self, z):
+        raise AssertionError("eval called by a circle scan")
+
+    monkeypatch.setattr(ComplexSeries, "eval", refuse)
+    monkeypatch.setattr(ComplexSeries, "__call__", refuse)
+    for kind in ALL_KINDS:
+        check_membership(kind, fn, grid=grid)
+    starlike_scan(fn, grid=grid)
+    class_radius(M, fn, grid=grid)
+    harmonic_mean(fn, fn)
+
+
+def test_boundary_image_evaluates_only_its_closing_point(monkeypatch):
+    fn = from_phi(ball_coefficients(np.random.default_rng(61), 128))
+    calls = []
+    plain = ComplexSeries.eval
+
+    def record(self, z):
+        calls.append(z)
+        return plain(self, z)
+
+    monkeypatch.setattr(ComplexSeries, "eval", record)
+    points = boundary_image(fn, 0.9, 64)
+    assert calls == [0.9 * np.exp(2j * np.pi)]
+    assert abs(points[-1] - points[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

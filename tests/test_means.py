@@ -65,6 +65,34 @@ def test_denominator_vanishes_refused():
         harmonic_mean(bad, bad)
 
 
+def _interior_zero_pair():
+    # (1 + z/1.05)^4 and (1 - z/1.05)^4 are zero-free in the disk; their
+    # average 1 + 6w^2 + w^4 (w = z/1.05) vanishes twice at |z| = 0.435
+    c = (1 / 1.05) ** np.arange(5) * np.array([1, 4, 6, 4, 1])
+    return from_phi(ComplexSeries(c)), from_phi(ComplexSeries(c * (-1) ** np.arange(5)))
+
+
+@pytest.mark.parametrize("pair, zeros", [
+    (_interior_zero_pair, 2),
+    # phi_F = 1 - (1 + i) z vanishes at |z| = 1/sqrt(2)
+    (lambda: (koebe_function(), from_phi(ComplexSeries([1, -2j, -1]))), 1),
+    # f = z/(1 + 3z) has a pole at -1/3 itself
+    (lambda: (from_phi(ComplexSeries([1, 3])),) * 2, 1),
+], ids=["interior-pair", "koebe-phi", "pole-self"])
+def test_zeros_inside_probe_circle_refused(pair, zeros):
+    with pytest.raises(DenominatorVanishes, match=f"zero count {zeros} inside"):
+        harmonic_mean(*pair())
+
+
+@pytest.mark.parametrize("order", [32, 128])
+def test_koebe_mean_accepted(order):
+    # (1 - z)^2 has its double zero on |z| = 1, outside the probe circle,
+    # where its minimum (1 - 0.999)^2 = 1e-6 is only a diagnostic
+    f = koebe_function(order)
+    out = harmonic_mean(f, f)
+    assert abs(out.min_denominator_modulus - 1e-6) <= 1e-12
+
+
 def test_closure_residual_trivial():
     f = koebe_function(32)
     assert verify_closure(U, f, f) == 0.0

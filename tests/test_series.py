@@ -12,6 +12,7 @@ from diskmean import (
     ball_coefficients,
     build,
 )
+from diskmean.functionals import _KIND_WEIGHTS
 
 
 def series(*coeffs):
@@ -301,13 +302,47 @@ def test_on_circle_fold_matches_horner(r):
     assert np.max(np.abs(got - _horner_loop(s.coeffs, pts))) <= 1e-13 * mass
 
 
-def test_on_circle_short_series_is_horner():
-    # Koebe's phi at order 128: the harmonic-mean probe compares its minimum
-    # on this circle, 1e-6 + 2e-21, with 1e-6, so it must round as Horner
-    # does over all 129 stored coefficients, trailing zeros included
+# on_circle against Horner: C * eps * log2(grid) * sum_k |w_k| |c_k| r**k.
+# The reference's points are doubles, so its angles are off by up to
+# eps * theta and z**k by k times that; for weights growing like k**3 on
+# r = 0.999 that rounding, not the fold's, sets the gap (at most 28 of
+# these units over the sizes and weights below, where an extended-precision
+# sum with exactly reduced angles puts the fold itself within 0.3).
+_FOLD_C = 64
+
+
+def _fold_bound(weighted_coeffs, r, grid):
+    mass = np.sum(np.abs(weighted_coeffs) * r ** np.arange(weighted_coeffs.size))
+    return _FOLD_C * np.finfo(np.float64).eps * np.log2(grid) * mass
+
+
+@pytest.mark.parametrize("grid", [16, 4096, 8192])
+def test_on_circle_matches_horner_at_every_length(grid):
+    # shorter than, as long as and longer than the grid, with and without
+    # full rows past the first block; plain values and the four kinds'
+    # weights, which on_circle applies from k = 2 on
+    r = 0.999
+    pts = r * np.exp(1j * 2.0 * np.pi * np.arange(grid) / grid)
+    for size in sorted({1, 2, 3, 129, 1024, 1025, grid - 1, grid, grid + 1}):
+        s = ball_coefficients(np.random.default_rng(size), size - 1, decay=0.999)
+        k = np.arange(size, dtype=float)
+        want = _horner_loop(s.coeffs, pts)
+        bound = _fold_bound(s.coeffs, r, grid)
+        assert np.max(np.abs(s.on_circle(r, grid) - want)) <= bound
+        for kind, weight in _KIND_WEIGHTS.items():
+            w = np.where(k >= 2, weight(k), 0.0) * s.coeffs
+            plain, weighted = s.on_circle(r, grid, weight)
+            assert np.max(np.abs(plain - want)) <= bound
+            gap = np.max(np.abs(weighted - _horner_loop(w, pts)))
+            assert gap <= _fold_bound(w, r, grid), (size, kind)
+
+
+def test_on_circle_koebe_minimum():
+    # Koebe's phi (1 - z)**2 at order 128: its minimum on r = 0.999 is
+    # (1 - 0.999)**2 = 1e-6, at theta = 0
     s = ComplexSeries([1, -2, 1] + [0] * 126)
-    pts = 0.999 * np.exp(1j * 2.0 * np.pi * np.arange(4096) / 4096)
-    assert np.array_equal(s.on_circle(0.999, 4096), _horner_loop(s.coeffs, pts))
+    low = np.min(np.abs(s.on_circle(0.999, 4096)))
+    assert abs(low - 1e-6) <= _fold_bound(s.coeffs, 0.999, 4096)
 
 
 @pytest.mark.parametrize("weight", [
