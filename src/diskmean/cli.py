@@ -41,7 +41,14 @@ from .classes import (
     starlike_scan,
 )
 from .errors import DenominatorVanishes, DiskMeanError
-from .families import FamilySpec, FamilyVariant, build, extend_table1, table1
+from .families import (
+    FamilySpec,
+    FamilyVariant,
+    boundary_image,
+    build,
+    extend_table1,
+    table1,
+)
 from .functionals import (
     FunctionalKind,
     NormalizedFunction,
@@ -50,7 +57,6 @@ from .functionals import (
 )
 from .means import harmonic_mean, verify_closure
 from .series import DEFAULT_ORDER, ComplexSeries
-from .families import boundary_image
 
 
 #: Default grid of the ``boundary`` command.

@@ -35,11 +35,8 @@ EPS_LEAD = 1e-12
 # gave the least total time over 49..289 coefficients.
 _NEWTON_MIN = 64
 
-# eval splits a series of more than _BLOCK_MIN coefficients into blocks; at
-# 1025 coefficients and beyond the blocked form was faster than Horner at
-# every point count measured (1 to 4096).  Points go through it _CHUNK at a
-# time, which bounds the power table at _CHUNK * sqrt(N) values.
-_BLOCK_MIN = 1024
+# eval takes points _CHUNK at a time, which bounds its power table at
+# _CHUNK * sqrt(N) values.
 _CHUNK = 256
 
 # highest polynomial degree of the weights on_circle accepts
@@ -208,36 +205,35 @@ class ComplexSeries:
     # evaluation
     # ------------------------------------------------------------------
     def eval(self, z):
-        """Horner evaluation at a complex point or an array of points.
+        """Value at a complex point or an array of scattered points.
 
-        This serves scattered points; values on a whole circle come from
-        :meth:`on_circle`.  Trailing zero coefficients are skipped.  The
-        scan for them runs only when the last coefficient is zero, so a
-        series without any costs no pass over its coefficients.  A series
-        of more than 1024 coefficients is cut into blocks of
-        L ~ sqrt(N) coefficients: one matrix product with the powers
-        z**0 .. z**(L-1) gives every block's value, and Horner in z**L sums
-        them, in about sqrt(N) array steps instead of N.  Truncation error
-        grows quickly outside |z| <= 1.
+        Values on a whole circle come from :meth:`on_circle`.  Trailing zero
+        coefficients are skipped (scanned for only when the last one is 0).
+        Every length takes one path (Paterson & Stockmeyer, SIAM J. Comput.
+        2, 1973): rows of L = 2**(bitlen(N) // 2) ~ sqrt(N) coefficients times
+        a table of z**0 .. z**(L-1) give every row's value, and Horner in
+        z**L sums the rows, in about sqrt(N) array steps instead of N.  The
+        table doubles, z**(k..2k-1) = z**(0..k-1) * z**k, squaring z**k up to
+        z**L.  As in Horner, the k-th term carries at most about k eps
+        relative error, so the error is at worst about
+        N eps sum_k |c_k| |z|**k; truncation error grows outside |z| <= 1.
         """
         pts = np.asarray(z, dtype=np.complex128)
         c = self.coeffs
         if c[-1] == 0:
             c = c[: c.size - int(np.argmax(c[::-1] != 0))]
-        if c.size <= _BLOCK_MIN:
-            out = _horner(c, pts)
-        else:
-            width = 1 << (c.size.bit_length() // 2)
-            rows = c.size // width
-            full, rest = c[: rows * width].reshape(rows, width), c[rows * width:]
-            flat = pts.reshape(-1)
-            out = np.empty(flat.shape, dtype=np.complex128)
-            for start in range(0, flat.size, _CHUNK):
-                x = flat[start: start + _CHUNK]
-                table = np.power(x[:, None], np.arange(width))
-                vals = np.concatenate([full @ table.T, (table[:, : rest.size] @ rest)[None]])
-                out[start: start + _CHUNK] = _horner(vals, x ** width)
-            out = out.reshape(pts.shape)
+        width = 1 << (c.size.bit_length() // 2)
+        # the last row (1 to L coefficients) holds the top one, so no zero
+        # row is multiplied by z**L, which may overflow
+        full = c[: (c.size - 1) // width * width].reshape(-1, width)
+        rest = c[full.size:]
+        flat = pts.reshape(-1)
+        out = np.empty(flat.shape, dtype=np.complex128)
+        for start in range(0, flat.size, _CHUNK):
+            table, giant = _powers(flat[start: start + _CHUNK], width)
+            top = rest @ table[: rest.size]
+            out[start: start + _CHUNK] = _horner(full @ table, giant, top)
+        out = out.reshape(pts.shape)
         return complex(out) if isinstance(z, numbers.Number) else out
 
     __call__ = eval
@@ -345,11 +341,20 @@ def _fft_mul(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x, length) * np.fft.fft(y, length))
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c[k] x**k by Horner's rule; each c[k] broadcasts against x."""
-    acc = np.full(np.broadcast_shapes(x.shape, c.shape[1:]), c[-1],
-                  dtype=np.complex128)
-    for k in range(c.shape[0] - 2, -1, -1):
+def _powers(x: np.ndarray, width: int):
+    """Rows x**0 .. x**(width-1), doubled from row 0, and x**width."""
+    table = np.empty((width, x.size), dtype=np.complex128)
+    table[0] = 1.0
+    step, k = x, 1
+    while k < width:
+        np.multiply(table[:k], step, out=table[k: 2 * k])
+        step, k = step * step, 2 * k
+    return table, step
+
+
+def _horner(c: np.ndarray, x: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """acc x**n + sum_k c[k] x**k (n = len(c)) by Horner's rule, in acc."""
+    for k in range(c.shape[0] - 1, -1, -1):
         acc *= x
         acc += c[k]
     return acc

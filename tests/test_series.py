@@ -258,8 +258,8 @@ def _horner_loop(c, pts):
 
 @pytest.mark.parametrize("order, points", [(5000, 64), (100_000, 16), (2000, 600)])
 def test_eval_blocks_match_horner_loop(order, points):
-    # blocks of 64 and of 256 coefficients (the power table then needs
-    # numpy's general complex power); 600 points go through in three chunks
+    # rows of 64 and of 256 coefficients; 600 points go through in three
+    # chunks
     rng = np.random.default_rng(41)
     s = ball_coefficients(rng, order, decay=0.999)
     pts = 0.99 * np.exp(2j * np.pi * rng.random(points))
@@ -278,11 +278,38 @@ def test_eval_skips_trailing_zeros(size, zeros):
     trimmed = c[: np.flatnonzero(c)[-1] + 1] if c.any() else c[:1]
     pts = 0.9 * np.exp(2j * np.pi * rng.random(16))
     s, cut = ComplexSeries(c), ComplexSeries(trimmed)
-    # beyond 1024 coefficients the reference is the blocked form on the
-    # trimmed coefficients
-    want = _horner_loop(trimmed, pts) if trimmed.size <= 1024 else cut.eval(pts)
-    assert np.array_equal(s.eval(pts), want)
+    assert np.array_equal(s.eval(pts), cut.eval(pts))
     assert s.eval(complex(pts[0])) == cut.eval(complex(pts[0]))
+
+
+@pytest.mark.parametrize("points", [1, 64, 600])
+def test_eval_matches_horner_at_every_length(points):
+    # one blocked algorithm from 1 coefficient up; 600 points are three chunks
+    rng = np.random.default_rng(points)
+    pts = 0.999 * np.sqrt(rng.random(points)) * np.exp(2j * np.pi * rng.random(points))
+    for size in (1, 2, 3, 4, 8, 16, 129, 513, 1024, 1025, 2049):
+        c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+        mass = np.abs(c) @ np.abs(pts[None]) ** np.arange(size)[:, None]
+        gap = np.abs(ComplexSeries(c).eval(pts) - _horner_loop(c, pts))
+        assert np.all(gap <= 1e-13 * mass), (size, np.max(gap / mass))
+
+
+@pytest.mark.parametrize("points", [1, 64])
+@pytest.mark.parametrize("size", [2, 4, 129, 513, 1024, 1025, 100_000])
+def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
+    # Horner runs only over the row values, about sqrt(N) of them, at
+    # every length
+    steps = []
+    horner = diskmean.series._horner
+
+    def spy(c, *args):
+        steps.append(c.shape[0])
+        return horner(c, *args)
+
+    monkeypatch.setattr(diskmean.series, "_horner", spy)
+    c = np.random.default_rng(size).uniform(0.5, 1.0, size)  # no zero to trim
+    ComplexSeries(c).eval(0.5 * np.exp(2j * np.pi * np.arange(points) / points))
+    assert steps and max(steps) <= 2 * int(np.ceil(np.sqrt(size))) + 1, steps
 
 
 def test_eval_zero_series():
