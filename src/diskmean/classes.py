@@ -17,6 +17,7 @@ from .functionals import (
     functional_series,  # noqa: F401  (a binding site bench/tracing.py wraps)
     grid_min,
     phi_on_circle,
+    scan_report,
     sup_on_circle,
 )
 
@@ -62,19 +63,22 @@ class StarlikeReport(JsonReport):
 
 def check_membership(kind: FunctionalKind, f: NormalizedFunction,
                      radii=DEFAULT_RADII, grid: int = DEFAULT_GRID) -> MembershipReport:
-    """Coefficient criterion plus one sup scan per radius.
+    """Coefficient criterion plus one sup scan per radius, in their order.
 
+    One :func:`phi_on_circle` call folds every circle, reading phi once.
     Verdict: FailNumeric if any scan margin drops below -1e-9,
     MemberByCoefficient if the coefficient sum is within the bound,
     MemberNumeric otherwise (scans pass but the sufficient test does not).
 
     Raises:
-        ValueError: if ``radii`` is empty.
+        ValueError: if ``radii`` is empty or a radius lies outside (0, 1).
     """
-    total = coefficient_criterion(kind, f)
-    scans = [sup_on_circle(kind, f, r, grid) for r in radii]
-    if not scans:
+    radii = list(radii)
+    if not radii:
         raise ValueError("radii must not be empty")
+    total = coefficient_criterion(kind, f)
+    theta, _, values = phi_on_circle(f, radii, grid, weight=_KIND_WEIGHTS[kind])
+    scans = [scan_report(kind, r, theta, v) for r, v in zip(radii, values)]
     if any(s.margin < -MARGIN_TOL for s in scans):
         verdict = FAIL_NUMERIC
     elif total <= kind.bound:
@@ -96,8 +100,8 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
 
     The numerator phi - z phi' = b_0 + sum_{k>=2} (1 - k) b_k z^k carries
     U's weight, so its values are b_0 plus the weighted tail from the pass
-    over phi's coefficients that gives phi's values
-    (:meth:`ComplexSeries.on_circle`); it is never built.  For phi of order
+    over phi's coefficients that gives phi's values on every circle
+    (:func:`phi_on_circle`); it is never built.  For phi of order
     N <= grid the top term (1 - N) b_N z^N is then taken off again: the
     reference answers of the benchmark pin that truncated minimum, so
     keeping the term waits for the next change to them.
@@ -115,8 +119,8 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     best = np.inf
     best_angle = 0.0
     best_radius = radii[0]
-    for r in radii:
-        theta, phiv, tail = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[FunctionalKind.U])
+    theta, phis, tails = phi_on_circle(f, radii, grid, _KIND_WEIGHTS[FunctionalKind.U])
+    for r, phiv, tail in zip(radii, phis, tails):
         numv = b[0] + tail
         if 1 <= top <= grid:
             # e^{i N theta_j} = e^{i theta_(N j mod grid)}: no large angle and

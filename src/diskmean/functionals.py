@@ -71,7 +71,7 @@ _KIND_WEIGHTS = {
     FunctionalKind.U: lambda k: 1.0 - k,
     FunctionalKind.P: lambda k: k * (k - 1.0),
     FunctionalKind.M: lambda k: (k - 1.0) ** 2,
-    FunctionalKind.N: lambda k: -((k - 1.0) ** 3),
+    FunctionalKind.N: lambda k: -((j := k - 1.0) * j * j),  # j * j exact: one rounding
 }
 
 
@@ -234,28 +234,30 @@ class ScanReport(JsonReport):
     margin: float
 
 
-def phi_on_circle(f: NormalizedFunction, r: float, grid: int, weight=None):
+def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
     """Angles of the uniform grid on |z| = r and the values of phi there.
 
-    With ``weight``, a polynomial of degree at most 3 in k, the values of
-    sum_{k>=2} weight(k) b_k z^k come third, from the same pass over phi's
-    coefficients (:meth:`ComplexSeries.on_circle`).
+    ``r`` is one radius or a 1-D sequence of radii, all folded in one pass
+    over phi's coefficients (:meth:`ComplexSeries.on_circle`).  With
+    ``weight``, a polynomial of degree at most 3 in k, the values of
+    sum_{k>=2} weight(k) b_k z^k come third, from the same pass.
 
     Raises:
-        ValueError: unless 0 < r < 1 and grid >= 16.
-        PhiVanishes: if min |phi| on the grid is at or below 1e-9.
+        ValueError: unless every radius lies in (0, 1) and grid >= 16.
+        PhiVanishes: for the first radius whose min |phi| is at most 1e-9.
     """
-    if not 0.0 < r < 1.0:
+    radii = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    if not np.all((radii > 0.0) & (radii < 1.0)):
         raise ValueError("radius must lie in (0, 1)")
     if grid < 16:
         raise ValueError("grid must be at least 16")
     values = f.phi.on_circle(r, grid, weight)
     if weight is None:
         values = (values,)
-    low = float(np.min(np.abs(values[0])))
-    if low <= PHI_EPS:
-        raise PhiVanishes(
-            f"min |phi| = {low:.3e} on |z| = {r:g}; the function has a pole there")
+    for rad, least in zip(radii, np.atleast_1d(np.min(np.abs(values[0]), axis=-1))):
+        if least <= PHI_EPS:
+            raise PhiVanishes(f"min |phi| = {least:.3e} on |z| = {rad:g}; "
+                              "the function has a pole there")
     return (circle_angles(grid), *values)
 
 
@@ -265,22 +267,10 @@ def grid_min(values: np.ndarray) -> tuple[float, int]:
     return low, int(np.nonzero(values <= low + _TIE_TOL)[0][0])
 
 
-def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
-                  r: float, grid: int) -> ScanReport:
-    """Max of |functional| over z = r e^{i theta} on a uniform angle grid.
-
-    The functional's values come with phi's from one pass over phi's
-    coefficients (:meth:`ComplexSeries.on_circle` with the kind's weight),
-    so its series is never built.  For P that pass gives
-    sum k(k-1) b_k z^k = z^2 P_f(z), so its modulus is divided by r^2.
-    Ties (within 1e-12) break toward the smallest angle, so the result does
-    not depend on evaluation order.
-
-    Raises:
-        ValueError: unless 0 < r < 1 and grid >= 16.
-        PhiVanishes: if phi vanishes at a grid point (degenerate input).
-    """
-    theta, _, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+def scan_report(kind: FunctionalKind, r: float, theta: np.ndarray,
+                values: np.ndarray) -> ScanReport:
+    """One circle's sup-modulus report; P's values are z^2 P_f(z), so their
+    modulus is divided by r^2.  Ties (within 1e-12) go to the least angle."""
     modulus = np.abs(values) / r ** (2 if kind is FunctionalKind.P else 0)
     # the largest modulus is the smallest of its negation
     low, idx = grid_min(-modulus)
@@ -288,8 +278,24 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
     return ScanReport(
         kind=kind,
         radius=float(r),
-        grid_size=int(grid),
+        grid_size=int(theta.size),
         extremal_value=best,
         extremal_angle=float(theta[idx]),
         margin=float(kind.bound - best),
     )
+
+
+def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
+                  r: float, grid: int) -> ScanReport:
+    """Max of |functional| over z = r e^{i theta} on a uniform angle grid.
+
+    The functional's values come with phi's from one pass over phi's
+    coefficients (:meth:`ComplexSeries.on_circle` with the kind's weight),
+    so its series is never built; :func:`scan_report` reads the extremum.
+
+    Raises:
+        ValueError: unless 0 < r < 1 and grid >= 16.
+        PhiVanishes: if phi vanishes at a grid point (degenerate input).
+    """
+    theta, _, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+    return scan_report(kind, r, theta, values)

@@ -230,7 +230,7 @@ class ComplexSeries:
         flat = pts.reshape(-1)
         out = np.empty(flat.shape, dtype=np.complex128)
         for start in range(0, flat.size, _CHUNK):
-            table, giant = _powers(flat[start: start + _CHUNK], width)
+            table, giant = _powers(flat[start: start + _CHUNK], width, full.size > 0)
             top = rest @ table[: rest.size]
             out[start: start + _CHUNK] = _horner(full @ table, giant, top)
         out = out.reshape(pts.shape)
@@ -238,14 +238,15 @@ class ComplexSeries:
 
     __call__ = eval
 
-    def on_circle(self, r: float, grid: int, weight=None):
+    def on_circle(self, r, grid: int, weight=None):
         """Values at the points r e^{2 pi i j/grid}, j = 0..grid-1.
 
-        With ``weight``, the result is the pair of those values and the
-        values of sum_{k>=2} weight(k) c_k z**k at the same points, from one
-        pass over the coefficients.  ``weight`` maps an array of degrees k
-        (as floats) to the weights and must be a polynomial in k of degree
-        at most 3.
+        ``r`` is one radius or a 1-D array of radii; the values have shape
+        ``np.shape(r) + (grid,)``.  With ``weight``, the result is the pair
+        of those values and the values of sum_{k>=2} weight(k) c_k z**k at
+        the same points, from one pass over the coefficients.  ``weight``
+        maps an array of degrees k (as floats) to the weights and must be a
+        polynomial in k of degree at most 3.
 
         Every length goes through one fold (Henrici, SIAM Review 21, 1979):
         z**k and z**(k mod G) agree on the grid (G = grid), so summing
@@ -263,18 +264,21 @@ class ComplexSeries:
         S_i[m] = sum_{q>=1} binom(q, i) s**q c_{qG+m}; the weighted fold
         gains sum_i d_i(m) S_i[m] and the plain fold S_0[m].
 
-        No coefficient is dropped, and the fold needs O(grid) memory beyond
-        the coefficients.  For the weights of the four functionals the terms
+        All radii's moments form one matrix, so that product reads the
+        coefficients once, and one batched inverse FFT gives every circle:
+        no coefficient is dropped, and memory is O(len(r) grid) beyond the
+        coefficients.  For the weights of the four functionals the terms
         d_i(m) binom(q, i) share one sign, bar one of modulus 1 at m = 0,
         so the weighted values are accurate to a small multiple of
         eps log2(grid) sum_k |weight(k)| |c_k| r**k.
         """
         c = self.coeffs
+        rad = np.reshape(np.asarray(r, dtype=np.float64), (-1, 1))
         head = min(c.size, grid)
         rows = max(c.size // grid, 1)
-        step = r ** grid
+        step = rad ** grid
         m = np.arange(head, dtype=np.float64)
-        folded = np.zeros((1 if weight is None else 2, grid), dtype=np.complex128)
+        folded = np.zeros((1 if weight is None else 2, len(rad), grid), dtype=np.complex128)
         if rows > 1:
             degree = 0
             if weight is not None:
@@ -286,25 +290,26 @@ class ComplexSeries:
                     diffs = diffs[:-1]
                 degree = diffs.shape[0] - 1
             q = np.arange(1.0, rows)
-            moments = np.empty((degree + 1, q.size))
-            moments[0] = np.power(step, q)
+            moments = np.empty((len(rad), degree + 1, q.size))
+            moments[:, 0] = np.power(step, q)
             for i in range(1, degree + 1):
-                moments[i] = moments[i - 1] * (q - (i - 1)) / i
-            # real moments times the coefficients' (re, im) pairs: half the
-            # work of a complex product
+                moments[:, i] = moments[:, i - 1] * (q - (i - 1)) / i
+            # all radii's real moments times the coefficients' (re, im)
+            # pairs: one read of them, half the work of a complex product
             body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
-            sums = (moments @ body).view(np.complex128)
-            folded[0] = sums[0]
+            sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
+            sums = sums.reshape(len(rad), degree + 1, grid)
+            folded[0] = sums[:, 0]
             if weight is not None:
-                folded[1] = np.sum(diffs * sums, axis=0)
+                folded[1] = np.sum(diffs * sums, axis=1)
         tail = c[rows * grid:] * step ** rows
-        folded[0, :head] += c[:head]
-        folded[0, : tail.size] += tail
+        folded[0, :, :head] += c[:head]
+        folded[0, :, : tail.shape[1]] += tail
         if weight is not None:
-            folded[1, 2:head] += weight(m[2:]) * c[2:head]
-            folded[1, : tail.size] += weight(m[: tail.size] + rows * grid) * tail
-        folded[:, :head] *= np.power(r, m)
-        values = np.fft.ifft(folded, norm="forward")
+            folded[1, :, 2:head] += weight(m[2:]) * c[2:head]
+            folded[1, :, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
+        folded[:, :, :head] *= np.power(rad, m)
+        values = np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
         return values[0] if weight is None else (values[0], values[1])
 
 
@@ -341,14 +346,14 @@ def _fft_mul(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x, length) * np.fft.fft(y, length))
 
 
-def _powers(x: np.ndarray, width: int):
-    """Rows x**0 .. x**(width-1), doubled from row 0, and x**width."""
+def _powers(x: np.ndarray, width: int, giant: bool):
+    """Rows x**0 .. x**(width-1), doubled from row 0, and x**width if giant."""
     table = np.empty((width, x.size), dtype=np.complex128)
     table[0] = 1.0
     step, k = x, 1
     while k < width:
         np.multiply(table[:k], step, out=table[k: 2 * k])
-        step, k = step * step, 2 * k
+        step, k = (step * step if giant or 2 * k < width else step), 2 * k
     return table, step
 
 

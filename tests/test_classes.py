@@ -97,6 +97,63 @@ def test_membership_empty_radii_raises():
         check_membership(M, build(FamilySpec(FamilyVariant.EX34, n=1)), radii=())
 
 
+@pytest.mark.parametrize("source", [
+    lambda: from_phi(ball_coefficients(np.random.default_rng(71), 128)),
+    lambda: build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)),
+], ids=["ball@129", "ex32@2^17"])
+def test_membership_scans_equal_per_radius_scans(source):
+    fn = source()
+    radii = (0.999, 0.9, 0.99)
+    for kind in (U, P, M, N):
+        rep = check_membership(kind, fn, radii=radii, grid=4096)
+        assert rep.scans == [sup_on_circle(kind, fn, r, 4096) for r in radii]
+
+
+def test_one_fold_per_membership_check_and_starlike_scan(monkeypatch):
+    calls = []
+    plain = ComplexSeries.on_circle
+
+    def spy(self, r, grid, weight=None):
+        calls.append(np.shape(r))
+        return plain(self, r, grid, weight)
+
+    monkeypatch.setattr(ComplexSeries, "on_circle", spy)
+    fn = build(FamilySpec(FamilyVariant.EX32, order=8192))
+    for kind in (U, P, M, N):
+        calls.clear()
+        check_membership(kind, fn)
+        assert calls == [(3,)], kind
+    calls.clear()
+    starlike_scan(fn, radii=(0.9, 0.999, 0.99))
+    assert calls == [(3,)]
+
+
+@pytest.mark.parametrize("radii, first", [
+    ((0.999, 0.99, 0.9), 0.99),
+    ((0.9, 0.99), 0.9),
+])
+def test_phi_vanishes_names_first_radius_in_order(radii, first):
+    # phi = (1 - z/0.9)(1 - z/0.99) vanishes at the grid points 0.9, 0.99
+    a, b = 1 / 0.9, 1 / 0.99
+    fn = from_phi(ComplexSeries([1, -(a + b), a * b]))
+    with pytest.raises(PhiVanishes) as alone:
+        sup_on_circle(M, fn, first, 64)
+    for scan in (lambda: check_membership(M, fn, radii=radii, grid=64),
+                 lambda: starlike_scan(fn, radii=radii, grid=64)):
+        with pytest.raises(PhiVanishes) as batched:
+            scan()
+        assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("radii", [(0.9, 1.5), (0.0, 0.9), (0.9, 0.99, 1.0), (-0.5,)])
+def test_scans_reject_radii_outside_the_disk(radii):
+    fn = build(FamilySpec(FamilyVariant.EX34, n=1))
+    with pytest.raises(ValueError, match="radius"):
+        check_membership(M, fn, radii=radii)
+    with pytest.raises(ValueError, match="radius"):
+        starlike_scan(fn, radii=radii)
+
+
 def test_membership_json_fields():
     rep = check_membership(U, identity_function(16))
     data = json.loads(rep.to_json())

@@ -33,6 +33,13 @@ U, P, M, N = FunctionalKind.U, FunctionalKind.P, FunctionalKind.M, FunctionalKin
 ALL_KINDS = (U, P, M, N)
 
 
+def test_n_weight_is_the_correctly_rounded_cube():
+    # libm pow is 1 ulp off the cube for some of these degrees
+    from diskmean.functionals import _KIND_WEIGHTS
+    want = -np.array([float(j ** 3) for j in range(1, 10 ** 6)])
+    assert np.array_equal(_KIND_WEIGHTS[N](np.arange(2.0, 10 ** 6 + 1)), want)
+
+
 def test_bounds():
     assert U.bound == M.bound == N.bound == 1.0
     assert P.bound == 2.0

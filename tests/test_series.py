@@ -312,6 +312,11 @@ def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
     assert steps and max(steps) <= 2 * int(np.ceil(np.sqrt(size))) + 1, steps
 
 
+def test_eval_short_series_at_huge_point():
+    # no full row, so z**L is never formed: squaring 1e200 would overflow
+    assert ComplexSeries([1, 1]).eval(1e200) == 1e200
+
+
 def test_eval_zero_series():
     pts = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
     assert np.array_equal(ComplexSeries.zero().eval(pts), _horner_loop(np.zeros(1), pts))
@@ -392,6 +397,27 @@ def test_weighted_on_circle_matches_horner(weight, size):
     assert np.max(np.abs(plain - _horner_loop(s.coeffs, pts))) <= 1e-13 * mass
     mass = np.sum(np.abs(w * s.coeffs) * r ** k)
     assert np.max(np.abs(weighted - _horner_loop(w * s.coeffs, pts))) <= 1e-13 * mass
+
+
+@pytest.mark.parametrize("source", [
+    lambda: ComplexSeries([1, -2, 1]),
+    lambda: ball_coefficients(np.random.default_rng(67), 128),
+    lambda: build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi,
+], ids=["short", "padded", "folded"])
+def test_on_circle_radii_equal_stacked_scalar_calls(source):
+    # one fold for every radius gives each circle exactly its own values
+    s = source()
+    radii, grid = [0.999, 0.9, 0.99], 4096
+    assert s.on_circle(0.9, grid).shape == (grid,)
+    assert s.on_circle([0.9], grid).shape == (1, grid)
+    for weight in (None, *_KIND_WEIGHTS.values()):
+        batched = s.on_circle(radii, grid, weight)
+        stacked = [s.on_circle(r, grid, weight) for r in radii]
+        if weight is None:
+            batched, stacked = (batched,), [(v,) for v in stacked]
+        for part, values in enumerate(batched):
+            assert values.shape == (len(radii), grid)
+            assert np.array_equal(values, np.array([v[part] for v in stacked]))
 
 
 @settings(max_examples=40, deadline=None)
