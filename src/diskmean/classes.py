@@ -19,6 +19,7 @@ from .functionals import (
     phi_on_circle,
     scan_report,
     sup_on_circle,
+    zero_count,
 )
 
 #: Membership is assessed on these circles by default; each functional is
@@ -45,6 +46,7 @@ class MembershipReport(JsonReport):
     kind: FunctionalKind
     coefficient_sum: float
     scans: list[ScanReport]
+    zeros_inside: int
     verdict: str
 
     @property
@@ -65,8 +67,10 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
                      radii=DEFAULT_RADII, grid: int = DEFAULT_GRID) -> MembershipReport:
     """Coefficient criterion plus one sup scan per radius, in their order.
 
-    One :func:`phi_on_circle` call folds every circle, reading phi once.
-    Verdict: FailNumeric if any scan margin drops below -1e-9,
+    One :func:`phi_on_circle` call folds every circle, reading phi once;
+    ``zeros_inside`` is the :func:`zero_count` of phi's values on the
+    largest circle, the number of poles of f inside it.  Verdict:
+    FailNumeric if f has a pole there or any scan margin drops below -1e-9,
     MemberByCoefficient if the coefficient sum is within the bound,
     MemberNumeric otherwise (scans pass but the sufficient test does not).
 
@@ -77,16 +81,17 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
     if not radii:
         raise ValueError("radii must not be empty")
     total = coefficient_criterion(kind, f)
-    theta, _, values = phi_on_circle(f, radii, grid, weight=_KIND_WEIGHTS[kind])
+    theta, phis, values = phi_on_circle(f, radii, grid, weight=_KIND_WEIGHTS[kind])
     scans = [scan_report(kind, r, theta, v) for r, v in zip(radii, values)]
-    if any(s.margin < -MARGIN_TOL for s in scans):
+    zeros = zero_count(phis[int(np.argmax(radii))])
+    if zeros or any(s.margin < -MARGIN_TOL for s in scans):
         verdict = FAIL_NUMERIC
     elif total <= kind.bound:
         verdict = MEMBER_BY_COEFFICIENT
     else:
         verdict = MEMBER_NUMERIC
-    return MembershipReport(kind=kind, coefficient_sum=total,
-                            scans=scans, verdict=verdict)
+    return MembershipReport(kind=kind, coefficient_sum=total, scans=scans,
+                            zeros_inside=zeros, verdict=verdict)
 
 
 def starlike_scan(f: NormalizedFunction, radii=(0.999,),

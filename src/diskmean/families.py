@@ -159,7 +159,7 @@ def build(spec: FamilySpec) -> NormalizedFunction:
         k = np.arange(2, order + 1, dtype=np.float64)
         c[2:] = 1.0 / (z3 * (k - 1.0) ** 5)
         label = "ex32"
-    return NormalizedFunction(ComplexSeries(c), label)
+    return NormalizedFunction(ComplexSeries._adopt(c), label)
 
 
 # ---------------------------------------------------------------------------

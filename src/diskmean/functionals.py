@@ -114,7 +114,7 @@ def koebe_function(order: int = DEFAULT_ORDER) -> NormalizedFunction:
     """f(z) = z/(1-z)^2, i.e. phi = (1 - z)^2."""
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0], c[1], c[2] = 1.0, -2.0, 1.0
-    return NormalizedFunction(ComplexSeries(c), "koebe")
+    return NormalizedFunction(ComplexSeries._adopt(c), "koebe")
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +129,13 @@ def functional_series(kind: FunctionalKind, f: NormalizedFunction) -> ComplexSer
     """
     b = f.phi.coeffs
     if kind is FunctionalKind.P:
-        return ComplexSeries(
-            _KIND_WEIGHTS[kind](np.arange(2.0, b.size)) * b[2:] if b.size > 2 else [0])
+        return ComplexSeries._adopt(
+            _KIND_WEIGHTS[kind](np.arange(2.0, b.size)) * b[2:] if b.size > 2
+            else np.zeros(1, dtype=np.complex128))
     c = np.zeros_like(b)
     # in place, and no named temporaries: ex32 carries 10^6 terms
     np.multiply(_KIND_WEIGHTS[kind](np.arange(2.0, b.size)), b[2:], out=c[2:])
-    return ComplexSeries(c)
+    return ComplexSeries._adopt(c)
 
 
 def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
@@ -259,6 +260,19 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
             raise PhiVanishes(f"min |phi| = {least:.3e} on |z| = {rad:g}; "
                               "the function has a pole there")
     return (circle_angles(grid), *values)
+
+
+def zero_count(values: np.ndarray) -> int:
+    """Winding number about 0 of phi's values on one circle, in grid order.
+
+    The sum of the steps angle(v[j+1]/v[j]), the last one from v[-1] back
+    to v[0], over 2 pi: by the argument principle, the number of zeros of
+    phi inside the circle, provided no step between neighbouring grid
+    points turns by pi or more.  ``values`` must be nonzero, as
+    :func:`phi_on_circle` ensures.
+    """
+    steps = np.angle(np.roll(values, -1) / values)
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
 def grid_min(values: np.ndarray) -> tuple[float, int]:

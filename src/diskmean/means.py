@@ -29,6 +29,7 @@ from .functionals import (
     NormalizedFunction,
     functional_series,
     phi_on_circle,
+    zero_count,
 )
 from .series import ComplexSeries
 
@@ -53,8 +54,10 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     """F = 2fg/(f+g), built as the coefficientwise average of the phis.
 
     A phi of lower order is padded with zeros, so the mean keeps the longer
-    series' tail.  The nonvanishing hypothesis on (f+g)/z is probed on a
-    finite grid (radius 0.999, 4096 angles): phi_F must not vanish there by
+    series' tail: past the shorter phi its coefficients are half the
+    longer's.  phi_F is built in one coefficient-length array.  The
+    nonvanishing hypothesis on (f+g)/z is probed on a finite grid (radius
+    0.999, 4096 angles): phi_F must not vanish there by
     :func:`phi_on_circle`'s rule, and the winding number of its values (the
     count of phi_F's zeros inside) must be 0.  This is a numerical
     surrogate, not a proof; min |phi_F| is reported as a diagnostic only.
@@ -63,18 +66,19 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
         DenominatorVanishes: if phi_F vanishes on the probe grid or has
             zeros inside the probe circle.
     """
-    total = np.zeros(max(f.phi.coeffs.size, g.phi.coeffs.size), dtype=np.complex128)
-    for c in (f.phi.coeffs, g.phi.coeffs):
-        total[: c.size] += c
+    short, long = sorted((f.phi.coeffs, g.phi.coeffs), key=len)
+    # ((0 + long) + short)/2 with short padded by zeros: the 0 turns -0.0
+    # into +0.0, which makes the bits the same whichever phi comes first
+    total = long + 0.0
+    total[: short.size] += short
     total *= 0.5
     label = f"mean({f.label or 'f'},{g.label or 'g'})"
-    mean = NormalizedFunction(ComplexSeries(total), label)
+    mean = NormalizedFunction(ComplexSeries._adopt(total), label)
     try:
         _, phiv = phi_on_circle(mean, PROBE_RADIUS, PROBE_GRID)
     except PhiVanishes as exc:
         raise DenominatorVanishes(f"(phi_f + phi_g)/2: {exc}") from exc
-    phase = np.unwrap(np.angle(np.append(phiv, phiv[0])))
-    zeros = round(float(np.sum(np.diff(phase))) / (2.0 * np.pi))
+    zeros = zero_count(phiv)
     if zeros:
         raise DenominatorVanishes(f"(phi_f + phi_g)/2 has zero count {zeros} inside "
                                   f"|z| = {PROBE_RADIUS:g} (its winding number there)")

@@ -8,6 +8,13 @@ up front, by choosing N.
 
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
+
+A series owns its coefficient array.  The constructor copies its argument,
+so later writes to an array from outside cannot reach the series; the
+arrays the package builds itself (families, functional series, means and
+every operation here) are adopted without a copy by
+:meth:`ComplexSeries._adopt`.  Both paths check the same invariants (1-D,
+non-empty, finite) and make the array read-only.
 """
 
 from __future__ import annotations
@@ -51,7 +58,17 @@ class ComplexSeries:
     coeffs: np.ndarray
 
     def __init__(self, coeffs) -> None:
-        arr = np.array(coeffs, dtype=np.complex128)
+        self._own(np.array(coeffs, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "ComplexSeries":
+        """The series of ``arr``, a complex128 array the caller has just
+        built and holds no other reference to, taken over without a copy."""
+        series = object.__new__(cls)
+        series._own(arr)
+        return series
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
         if not np.isfinite(arr).all():
@@ -72,13 +89,13 @@ class ComplexSeries:
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        return cls(np.zeros(order + 1))
+        return cls._adopt(np.zeros(order + 1, dtype=np.complex128))
 
     @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
         c = np.zeros(order + 1, dtype=np.complex128)
         c[0] = 1.0
-        return cls(c)
+        return cls._adopt(c)
 
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
@@ -90,20 +107,22 @@ class ComplexSeries:
     # ------------------------------------------------------------------
     def add(self, other: "ComplexSeries") -> "ComplexSeries":
         n = min(self.coeffs.size, other.coeffs.size)
-        return ComplexSeries(self.coeffs[:n] + other.coeffs[:n])
+        return ComplexSeries._adopt(self.coeffs[:n] + other.coeffs[:n])
 
     def sub(self, other: "ComplexSeries") -> "ComplexSeries":
         n = min(self.coeffs.size, other.coeffs.size)
-        return ComplexSeries(self.coeffs[:n] - other.coeffs[:n])
+        return ComplexSeries._adopt(self.coeffs[:n] - other.coeffs[:n])
 
     def mul(self, other: "ComplexSeries") -> "ComplexSeries":
         """Cauchy product truncated at the smaller operand order."""
         n = min(self.coeffs.size, other.coeffs.size)
         full = np.convolve(self.coeffs, other.coeffs)
-        return ComplexSeries(full[:n])
+        # full is this call's own: shrink it in place rather than copy a slice
+        full.resize(n, refcheck=False)
+        return ComplexSeries._adopt(full)
 
     def scale(self, factor: complex) -> "ComplexSeries":
-        return ComplexSeries(self.coeffs * complex(factor))
+        return ComplexSeries._adopt(self.coeffs * complex(factor))
 
     def __add__(self, other):
         if isinstance(other, ComplexSeries):
@@ -134,15 +153,15 @@ class ComplexSeries:
         """Termwise derivative; the order drops by one."""
         c = self.coeffs
         if c.size == 1:
-            return ComplexSeries([0.0])
-        return ComplexSeries(c[1:] * np.arange(1, c.size))
+            return ComplexSeries._adopt(np.zeros(1, dtype=np.complex128))
+        return ComplexSeries._adopt(c[1:] * np.arange(1, c.size))
 
     def shift_up(self) -> "ComplexSeries":
         """Multiply by z without extending the order (top coefficient drops)."""
         c = np.empty_like(self.coeffs)
         c[0] = 0.0
         c[1:] = self.coeffs[:-1]
-        return ComplexSeries(c)
+        return ComplexSeries._adopt(c)
 
     def reciprocal(self) -> "ComplexSeries":
         """Multiplicative inverse, same order.
@@ -198,8 +217,8 @@ class ComplexSeries:
                 gate = np.finfo(np.float64).eps * np.log2(2 * n) * np.sqrt(
                     np.cumsum(np.abs(a) ** 2) * np.cumsum(np.abs(r) ** 2))
                 if np.all(np.abs(resid) <= gate):  # False wherever NaN
-                    return ComplexSeries(r)
-        return ComplexSeries(_recurrence(a))
+                    return ComplexSeries._adopt(r)
+        return ComplexSeries._adopt(_recurrence(a))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -382,4 +401,4 @@ def ball_coefficients(rng: np.random.Generator, order: int,
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
     c[1:] = b
-    return ComplexSeries(c)
+    return ComplexSeries._adopt(c)

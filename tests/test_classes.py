@@ -78,8 +78,33 @@ def test_membership_identity():
 
 
 def test_membership_fail_numeric():
-    rep = check_membership(M, from_phi(ComplexSeries([1, 0, 2])))
+    # M's series is 2z^2, and phi = 1 + 2z^2 vanishes twice at |z| = 2^-1/2
+    fn = from_phi(ComplexSeries([1, 0, 2]))
+    rep = check_membership(M, fn)
     assert rep.verdict == FAIL_NUMERIC
+    assert rep.zeros_inside == 2
+    assert rep.scans == [sup_on_circle(M, fn, r, 4096) for r in (0.9, 0.99, 0.999)]
+    for scan in rep.scans:
+        assert abs(scan.extremal_value - 2 * scan.radius ** 2) <= 1e-15
+
+
+@pytest.mark.parametrize("radii, pole, near", [
+    ((0.9, 0.99, 0.999), 1, 1),
+    ((0.999, 0.9), 1, 1),
+    ((0.9,), 1, 0),
+    ((0.3,), 0, 0),
+])
+def test_membership_counts_poles_inside_largest_radius(radii, pole, near):
+    # f = z/(1 + 3z) has a pole at -1/3 and M_f = 0: only the zero count of
+    # phi = 1 + 3z on the largest circle shows that f is in no class
+    rep = check_membership(M, from_phi(ComplexSeries([1, 3])), radii=radii)
+    assert rep.zeros_inside == pole
+    assert rep.verdict == (FAIL_NUMERIC if pole else MEMBER_BY_COEFFICIENT)
+    assert all(s.margin == 1.0 for s in rep.scans)
+    # the pole of z/(1 + z/0.95) lies between the circles 0.9 and 0.99
+    rep = check_membership(M, from_phi(ComplexSeries([1, 1 / 0.95])), radii=radii)
+    assert rep.zeros_inside == near
+    assert rep.is_member == (near == 0)
 
 
 def test_membership_numeric_when_sum_exceeds_bound():
@@ -107,6 +132,7 @@ def test_membership_scans_equal_per_radius_scans(source):
     for kind in (U, P, M, N):
         rep = check_membership(kind, fn, radii=radii, grid=4096)
         assert rep.scans == [sup_on_circle(kind, fn, r, 4096) for r in radii]
+        assert rep.zeros_inside == 0
 
 
 def test_one_fold_per_membership_check_and_starlike_scan(monkeypatch):
@@ -157,8 +183,10 @@ def test_scans_reject_radii_outside_the_disk(radii):
 def test_membership_json_fields():
     rep = check_membership(U, identity_function(16))
     data = json.loads(rep.to_json())
-    assert list(data.keys()) == ["kind", "coefficient_sum", "scans", "verdict"]
+    assert list(data.keys()) == ["kind", "coefficient_sum", "scans", "zeros_inside",
+                                 "verdict"]
     assert len(data["scans"]) == 3
+    assert data["zeros_inside"] == 0
 
 
 def test_monotone_sup_across_radius_ladder():

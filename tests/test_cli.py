@@ -30,6 +30,14 @@ def test_check_fail_numeric_exit_two(capsys):
     assert json.loads(out)["verdict"] == "FailNumeric"
 
 
+def test_check_pole_inside_exit_two(capsys):
+    # f = z/(1 + 3z): M_f = 0, but the pole at -1/3 puts f in no class
+    code, out, err = run(capsys, "check", "--class", "M", "phi:1,3")
+    assert code == 2
+    data = json.loads(out)
+    assert (data["verdict"], data["zeros_inside"]) == ("FailNumeric", 1)
+
+
 def test_check_identity(capsys):
     code, out, err = run(capsys, "check", "--class", "U", "identity")
     assert code == 0

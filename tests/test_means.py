@@ -9,6 +9,7 @@ from diskmean import (
     FamilySpec,
     FamilyVariant,
     FunctionalKind,
+    ball_coefficients,
     build,
     check_membership,
     from_phi,
@@ -17,6 +18,8 @@ from diskmean import (
     koebe_function,
     verify_closure,
 )
+from diskmean.functionals import phi_on_circle, zero_count
+from diskmean.means import PROBE_GRID, PROBE_RADIUS
 
 U, M = FunctionalKind.U, FunctionalKind.M
 
@@ -80,8 +83,14 @@ def _interior_zero_pair():
     (lambda: (from_phi(ComplexSeries([1, 3])),) * 2, 1),
 ], ids=["interior-pair", "koebe-phi", "pole-self"])
 def test_zeros_inside_probe_circle_refused(pair, zeros):
+    f, g = pair()
     with pytest.raises(DenominatorVanishes, match=f"zero count {zeros} inside"):
-        harmonic_mean(*pair())
+        harmonic_mean(f, g)
+    # zero_count agrees with the count from the unwrapped phase
+    _, phiv = phi_on_circle(from_phi(ComplexSeries(_padded_mean(f, g))),
+                            PROBE_RADIUS, PROBE_GRID)
+    phase = np.unwrap(np.angle(np.append(phiv, phiv[0])))
+    assert zero_count(phiv) == round(float(np.sum(np.diff(phase))) / (2 * np.pi)) == zeros
 
 
 @pytest.mark.parametrize("order", [32, 128])
@@ -96,6 +105,55 @@ def test_koebe_mean_accepted(order):
 def test_closure_residual_trivial():
     f = koebe_function(32)
     assert verify_closure(U, f, f) == 0.0
+
+
+def _padded_mean(f, g):
+    """(phi_f + phi_g)/2 by its definition: both added to zeros, then halved."""
+    total = np.zeros(max(f.phi.coeffs.size, g.phi.coeffs.size), dtype=np.complex128)
+    for c in (f.phi.coeffs, g.phi.coeffs):
+        total[: c.size] += c
+    total *= 0.5
+    return total
+
+
+def _signed_zeros(size):
+    # -0.0 in either part, where adding to zeros gives +0.0
+    c = np.full(size, complex(-0.0, -0.0))
+    c[0] = 1.0
+    c[1::3] = [complex(0.1 / k, -0.0) for k in range(1, c[1::3].size + 1)]
+    return from_phi(ComplexSeries(c))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (from_phi(ball_coefficients(np.random.default_rng(3), 40)),
+             from_phi(ball_coefficients(np.random.default_rng(4), 40))),
+    lambda: (from_phi(ball_coefficients(np.random.default_rng(5), 60)),
+             from_phi(ball_coefficients(np.random.default_rng(6), 20))),
+    lambda: (_signed_zeros(30), _signed_zeros(30)),
+    lambda: (_signed_zeros(30), _signed_zeros(12)),
+    lambda: (build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)),
+             build(FamilySpec(FamilyVariant.EX31, n=1))),
+], ids=["equal-orders", "unequal-orders", "signed-zeros", "signed-zeros-unequal",
+        "ex32@2^17-ex31"])
+def test_mean_bits_equal_padded_sum(pair):
+    f, g = pair()
+    # each pair both ways round: the longer series first and the shorter first
+    for a, b in ((f, g), (g, f)):
+        got = harmonic_mean(a, b).mean.phi.coeffs
+        assert got.dtype == np.complex128
+        assert got.tobytes() == _padded_mean(a, b).tobytes()
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, a.phi.coeffs)
+        assert not np.shares_memory(got, b.phi.coeffs)
+
+
+def test_overflowing_mean_refused():
+    # each coefficient is finite, but their sum overflows to inf (and the
+    # halving meets inf * 0): numpy warns of both before the refusal
+    f = from_phi(ComplexSeries([1, 1e308, 1e308]))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            harmonic_mean(f, f)
 
 
 def test_mean_of_unequal_orders_keeps_longer_tail():

@@ -8,9 +8,14 @@ from diskmean import (
     ComplexSeries,
     FamilySpec,
     FamilyVariant,
+    FunctionalKind,
     LeadingCoefficientNearZero,
     ball_coefficients,
     build,
+    from_phi,
+    functional_series,
+    harmonic_mean,
+    koebe_function,
 )
 from diskmean.functionals import _KIND_WEIGHTS
 
@@ -463,6 +468,50 @@ def test_invariants_rejected():
 def test_infinite_imaginary_part_rejected():
     with pytest.raises(ValueError, match="finite"):
         ComplexSeries([1.0, complex(1.0, np.inf)])
+
+
+def test_constructor_copies_outside_input():
+    arr = np.array([1.0, 2.0, 3.0], dtype=np.complex128)
+    s = ComplexSeries(arr)
+    arr[1] = 9.0
+    assert s.coeffs[1] == 2.0
+    assert arr.flags.writeable
+    assert not s.coeffs.flags.writeable
+
+
+def test_adopt_keeps_constructor_checks():
+    for bad in (np.zeros(0, dtype=np.complex128), np.ones((2, 2), dtype=np.complex128),
+                np.array([1.0, complex(0.0, np.inf)])):
+        with pytest.raises(ValueError):
+            ComplexSeries._adopt(bad)
+
+
+_A = ball_coefficients(np.random.default_rng(11), 80)
+_B = ball_coefficients(np.random.default_rng(12), 40)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _A + _B, lambda: _B - _A, lambda: _A * _B, lambda: _A * 1, lambda: -_B,
+    lambda: _A.derivative(), lambda: ComplexSeries([3.0]).derivative(),
+    lambda: _A.shift_up(), lambda: _B.reciprocal(), lambda: _A.reciprocal(),
+    lambda: ComplexSeries.zero(4), lambda: ComplexSeries.one(4),
+    lambda: ball_coefficients(np.random.default_rng(1), 8),
+    lambda: functional_series(FunctionalKind.P, from_phi(_A)),
+    lambda: functional_series(FunctionalKind.M, from_phi(_A)),
+    lambda: functional_series(FunctionalKind.P, from_phi(ComplexSeries([1.0]))),
+    lambda: koebe_function(8).phi,
+    lambda: build(FamilySpec(FamilyVariant.EX32, order=300)).phi,
+    lambda: harmonic_mean(from_phi(_A), from_phi(_B)).mean.phi,
+], ids=["add", "sub", "mul", "scale", "neg", "derivative", "derivative-constant",
+        "shift_up", "reciprocal-recurrence", "reciprocal-newton", "zero", "one",
+        "ball", "functional-P", "functional-M", "functional-P-constant", "koebe",
+        "build", "harmonic_mean"])
+def test_internal_results_own_read_only_arrays(make):
+    c = make().coeffs
+    assert c.dtype == np.complex128
+    assert not c.flags.writeable
+    for operand in (_A, _B):
+        assert not np.shares_memory(c, operand.coeffs)
 
 
 def test_immutable():
