@@ -38,11 +38,9 @@ from .classes import (
 )
 from .means import MeanResult, harmonic_mean, verify_closure
 from .families import (
-    AngleGridResult,
     FamilySpec,
     FamilyVariant,
     a_theta,
-    a_theta_grid,
     a_theta_reduced,
     boundary_image,
     build,
@@ -67,7 +65,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "DEFAULT_RADII",
     "EPS_LEAD",
-    "AngleGridResult",
     "DenominatorVanishes",
     "DiskMeanError",
     "FamilySpec",
@@ -83,7 +80,6 @@ __all__ = [
     "ScanReport",
     "StarlikeReport",
     "a_theta",
-    "a_theta_grid",
     "a_theta_reduced",
     "ball_coefficients",
     "boundary_image",

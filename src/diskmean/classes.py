@@ -78,10 +78,8 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
         ValueError: if ``radii`` is empty or a radius lies outside (0, 1).
     """
     radii = list(radii)
-    if not radii:
-        raise ValueError("radii must not be empty")
-    total = coefficient_criterion(kind, f)
     theta, phis, values = phi_on_circle(f, radii, grid, weight=_KIND_WEIGHTS[kind])
+    total = coefficient_criterion(kind, f)
     scans = [scan_report(kind, r, theta, v) for r, v in zip(radii, values)]
     zeros = zero_count(phis[int(np.argmax(radii))])
     if zeros or any(s.margin < -MARGIN_TOL for s in scans):
@@ -117,14 +115,12 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
         PhiVanishes: if phi vanishes on the sampled set.
     """
     radii = list(radii)
-    if not radii:
-        raise ValueError("radii must not be empty")
+    theta, phis, tails = phi_on_circle(f, radii, grid, _KIND_WEIGHTS[FunctionalKind.U])
     b = f.phi.coeffs
     top = b.size - 1
     best = np.inf
     best_angle = 0.0
     best_radius = radii[0]
-    theta, phis, tails = phi_on_circle(f, radii, grid, _KIND_WEIGHTS[FunctionalKind.U])
     for r, phiv, tail in zip(radii, phis, tails):
         numv = b[0] + tail
         if 1 <= top <= grid:

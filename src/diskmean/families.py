@@ -39,10 +39,9 @@ from .functionals import (
     FunctionalKind,
     NormalizedFunction,
     functional_eval_direct,
-    grid_min,
     phi_on_circle,
 )
-from .series import DEFAULT_ORDER, ComplexSeries, circle_angles, circle_points
+from .series import DEFAULT_ORDER, ComplexSeries
 
 #: Truncation used for ex32.  Its quadratic-weight coefficient sum
 #: converges like a p-series with p = 3, leaving a tail of roughly
@@ -467,31 +466,6 @@ def boundary_image(f: NormalizedFunction, r: float, grid: int) -> np.ndarray:
     Raises:
         PhiVanishes: if phi vanishes on the circle.
     """
-    _, phiv = phi_on_circle(f, r, grid)
+    theta, phiv = phi_on_circle(f, r, grid)
     end = r * np.exp(2j * np.pi)  # theta = 2 pi as a float, not exactly 0
-    return np.append(circle_points(r, grid) / phiv, end / f.phi.eval(end))
-
-
-# ---------------------------------------------------------------------------
-# angle-grid sampling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AngleGridResult:
-    thetas: list[float]
-    values: list[float]
-    min_value: float
-    argmin: float
-
-
-def a_theta_grid(variant: FamilyVariant, n: int, grid: int = 4096) -> AngleGridResult:
-    """Sample A(theta) on the uniform closed-open grid [0, 2*pi)."""
-    thetas = circle_angles(grid)
-    values = a_theta(variant, n, thetas)
-    lo, idx = grid_min(values)
-    return AngleGridResult(
-        thetas=[float(t) for t in thetas],
-        values=[float(v) for v in values],
-        min_value=lo,
-        argmin=float(thetas[idx]),
-    )
+    return np.append(r * np.exp(1j * theta) / phiv, end / f.phi.eval(end))

@@ -24,7 +24,6 @@ independent cross-check of the coefficient forms.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -213,14 +212,12 @@ def _by_value(items) -> dict:
 
 
 class JsonReport:
-    """Serialization shared by the report dataclasses: fields in order,
-    nested reports as dicts, enum members by value."""
+    """Serialization shared by the report dataclasses; :meth:`to_dict` is
+    the one serializer: fields in order, nested reports as dicts, enum
+    members by value."""
 
     def to_dict(self) -> dict:
         return asdict(self, dict_factory=_by_value)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -244,10 +241,13 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
     sum_{k>=2} weight(k) b_k z^k come third, from the same pass.
 
     Raises:
-        ValueError: unless every radius lies in (0, 1) and grid >= 16.
+        ValueError: unless there is a radius, every radius lies in (0, 1)
+            and grid >= 16.
         PhiVanishes: for the first radius whose min |phi| is at most 1e-9.
     """
     radii = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    if radii.size == 0:
+        raise ValueError("radii must not be empty")
     if not np.all((radii > 0.0) & (radii < 1.0)):
         raise ValueError("radius must lie in (0, 1)")
     if grid < 16:

@@ -1,10 +1,10 @@
 """Truncated power series with complex coefficients.
 
 A :class:`ComplexSeries` holds coefficients c_0..c_N of a polynomial that
-stands in for a Taylor series truncated at degree N.  Arithmetic never
-extends the truncation degree: every binary operation returns a series of
-order ``min(a.order, b.order)``, so the caller picks the error budget once,
-up front, by choosing N.
+stands in for a Taylor series truncated at degree N.  No operation extends
+the truncation degree: :meth:`ComplexSeries.mul`, the one product, returns
+a series of order ``min(a.order, b.order)``, so the caller picks the error
+budget once, up front, by choosing N.
 
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.
@@ -88,10 +88,6 @@ class ComplexSeries:
         return self.coeffs.size - 1
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
-        return cls._adopt(np.zeros(order + 1, dtype=np.complex128))
-
-    @classmethod
     def one(cls, order: int = DEFAULT_ORDER) -> "ComplexSeries":
         c = np.zeros(order + 1, dtype=np.complex128)
         c[0] = 1.0
@@ -103,52 +99,20 @@ class ComplexSeries:
         return f"ComplexSeries({head}{more})"
 
     # ------------------------------------------------------------------
-    # ring operations (result order = min of operand orders)
+    # product, calculus and inversion
     # ------------------------------------------------------------------
-    def add(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.coeffs.size, other.coeffs.size)
-        return ComplexSeries._adopt(self.coeffs[:n] + other.coeffs[:n])
-
-    def sub(self, other: "ComplexSeries") -> "ComplexSeries":
-        n = min(self.coeffs.size, other.coeffs.size)
-        return ComplexSeries._adopt(self.coeffs[:n] - other.coeffs[:n])
-
     def mul(self, other: "ComplexSeries") -> "ComplexSeries":
-        """Cauchy product truncated at the smaller operand order."""
+        """Cauchy product truncated at the smaller operand order.
+
+        No scan multiplies series; the product stays as the layer the
+        benchmark's tracer times, until that tracer is retired.
+        """
         n = min(self.coeffs.size, other.coeffs.size)
         full = np.convolve(self.coeffs, other.coeffs)
         # full is this call's own: shrink it in place rather than copy a slice
         full.resize(n, refcheck=False)
         return ComplexSeries._adopt(full)
 
-    def scale(self, factor: complex) -> "ComplexSeries":
-        return ComplexSeries._adopt(self.coeffs * complex(factor))
-
-    def __add__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.add(other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.sub(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexSeries):
-            return self.mul(other)
-        if isinstance(other, numbers.Number):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # ------------------------------------------------------------------
-    # calculus and inversion
-    # ------------------------------------------------------------------
     def derivative(self) -> "ComplexSeries":
         """Termwise derivative; the order drops by one."""
         c = self.coeffs
@@ -335,11 +299,6 @@ class ComplexSeries:
 def circle_angles(grid: int) -> np.ndarray:
     """The uniform closed-open angle grid 2 pi j/grid, j = 0..grid-1."""
     return 2.0 * np.pi * np.arange(grid) / grid
-
-
-def circle_points(r: float, grid: int) -> np.ndarray:
-    """The points r e^{i theta} of the :func:`circle_angles` grid."""
-    return r * np.exp(1j * circle_angles(grid))
 
 
 def _recurrence(a: np.ndarray) -> np.ndarray:

@@ -182,7 +182,7 @@ def test_scans_reject_radii_outside_the_disk(radii):
 
 def test_membership_json_fields():
     rep = check_membership(U, identity_function(16))
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert list(data.keys()) == ["kind", "coefficient_sum", "scans", "zeros_inside",
                                  "verdict"]
     assert len(data["scans"]) == 3
@@ -264,6 +264,15 @@ def test_starlike_phi_vanishing_is_error():
 def test_starlike_empty_radii_raises():
     with pytest.raises(ValueError, match="radii"):
         starlike_scan(build(FamilySpec(FamilyVariant.EX34, n=1)), radii=())
+
+
+def test_scans_take_radii_from_a_generator():
+    fn = build(FamilySpec(FamilyVariant.EX34, n=1))
+    radii = (0.9, 0.999)
+    assert (check_membership(M, fn, radii=(r for r in radii), grid=256)
+            == check_membership(M, fn, radii=radii, grid=256))
+    assert (starlike_scan(fn, radii=(r for r in radii), grid=256)
+            == starlike_scan(fn, radii=radii, grid=256))
 
 
 def _starlike_exact_min(coeffs, r, grid):
@@ -360,7 +369,7 @@ def test_starlike_folded_memory_bounded():
 
 def test_starlike_json_fields():
     rep = starlike_scan(identity_function(8), radii=(0.9,), grid=64)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert list(data.keys()) == [
         "radii", "min_value", "argmin_angle", "argmin_radius", "starlike_numeric"]
 

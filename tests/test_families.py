@@ -10,7 +10,6 @@ from diskmean import (
     FunctionalKind,
     InvalidFamilyParams,
     a_theta,
-    a_theta_grid,
     a_theta_reduced,
     boundary_image,
     build,
@@ -404,10 +403,3 @@ def test_boundary_closed_curve():
     fn = build(FamilySpec(EX32, order=4096))
     pts = boundary_image(fn, 0.999, 512)
     assert abs(pts[0] - pts[-1]) <= 1e-9 * max(1.0, abs(pts[0]))
-
-
-def test_angle_grid_result():
-    res = a_theta_grid(EX34, 1, grid=512)
-    assert len(res.thetas) == len(res.values) == 512
-    assert res.min_value == min(res.values)
-    assert res.min_value < 0

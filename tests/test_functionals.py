@@ -178,7 +178,8 @@ def test_linearity_in_tail(seed):
     p1 = ball_coefficients(rng, 24, decay=0.5, mass=0.4)
     p2 = ball_coefficients(rng, 24, decay=0.5, mass=0.4)
     t = rng.uniform(-2, 2)
-    combo = from_phi(p1 + (p2 - ComplexSeries.one(24)).scale(t))
+    tail2 = p2.coeffs - ComplexSeries.one(24).coeffs
+    combo = from_phi(ComplexSeries(p1.coeffs + t * tail2))
     for kind in ALL_KINDS:
         lhs = functional_series(kind, combo).coeffs
         rhs = (functional_series(kind, from_phi(p1)).coeffs
@@ -240,6 +241,12 @@ def test_sup_rejects_bad_args(scan):
         scan(fn, 0.5, 8)
 
 
+def test_phi_on_circle_refuses_empty_radii():
+    from diskmean.functionals import phi_on_circle
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        phi_on_circle(identity_function(8), [], 64)
+
+
 def test_sup_raises_on_phi_zero_inside():
     fn = from_phi(ComplexSeries([1, -1 / 0.5, 0, 0]))  # phi zero at z=0.5
     with pytest.raises(PhiVanishes):
@@ -248,7 +255,7 @@ def test_sup_raises_on_phi_zero_inside():
 
 def test_scan_report_json_fields():
     rep = sup_on_circle(U, koebe_function(), 0.5, 64)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert list(data.keys()) == [
         "kind", "radius", "grid_size", "extremal_value", "extremal_angle", "margin"]
     assert data["kind"] == "U"

@@ -195,6 +195,6 @@ def test_averaging_identity_coefficientwise():
 
 def test_mean_result_json():
     out = harmonic_mean(identity_function(2), identity_function(2))
-    data = json.loads(out.to_json())
+    data = json.loads(json.dumps(out.to_dict()))
     assert list(data.keys()) == ["phi_coefficients", "min_denominator_modulus"]
     assert data["phi_coefficients"][0] == [1.0, 0.0]

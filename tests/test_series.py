@@ -32,48 +32,21 @@ def assert_coeffs(s, expected, tol=0.0):
 
 
 # ---------------------------------------------------------------------------
-# add
-# ---------------------------------------------------------------------------
-
-def test_add_cancellation():
-    assert_coeffs(series(1, 1) + series(1, -1), [2, 0])
-
-
-def test_add_zero_identity():
-    s = series(1, 2, 3)
-    assert_coeffs(s + ComplexSeries.zero(2), [1, 2, 3])
-
-
-def test_add_direct_sum():
-    # (1+2z) + (3z+z^2), both stored at order 2
-    assert_coeffs(series(1, 2, 0) + series(0, 3, 1), [1, 5, 1])
-
-
-def test_add_truncates_to_min_order():
-    out = series(1, 1, 1, 1) + series(1, 1)
-    assert out.order == 1
-
-
-# ---------------------------------------------------------------------------
 # mul
 # ---------------------------------------------------------------------------
 
 def test_mul_difference_of_squares():
-    assert_coeffs(series(1, 1, 0) * series(1, -1, 0), [1, 0, -1])
+    assert_coeffs(series(1, 1, 0).mul(series(1, -1, 0)), [1, 0, -1])
 
 
 def test_mul_one_identity():
     s = series(2, -1, 3j)
-    assert_coeffs(s * ComplexSeries.one(2), [2, -1, 3j])
+    assert_coeffs(s.mul(ComplexSeries.one(2)), [2, -1, 3j])
 
 
 def test_mul_truncated_cauchy_product():
     # hand Cauchy product: (1+z+z^2)(1-z) = 1 + 0 z + 0 z^2 - z^3, cut at 2
-    assert_coeffs(series(1, 1, 1) * series(1, -1, 0), [1, 0, 0])
-
-
-def test_scalar_mul():
-    assert_coeffs(2.0 * series(1, 1), [2, 2])
+    assert_coeffs(series(1, 1, 1).mul(series(1, -1, 0)), [1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +84,8 @@ def test_reciprocal_roundtrip_unit(seed):
     # random lead |a_0| in [0.5, 2]: series * reciprocal = 1 to 1e-10 at order 64
     rng = np.random.default_rng(seed)
     lead = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-    s = ball_coefficients(rng, 64, decay=0.35, mass=0.5).scale(lead)
-    prod = (s * s.reciprocal()).coeffs.copy()
+    s = ComplexSeries(ball_coefficients(rng, 64, decay=0.35, mass=0.5).coeffs * lead)
+    prod = s.mul(s.reciprocal()).coeffs.copy()
     prod[0] -= 1.0
     assert np.max(np.abs(prod)) <= 1e-10
 
@@ -324,8 +297,8 @@ def test_eval_short_series_at_huge_point():
 
 def test_eval_zero_series():
     pts = 0.9 * np.exp(2j * np.pi * np.arange(8) / 8)
-    assert np.array_equal(ComplexSeries.zero().eval(pts), _horner_loop(np.zeros(1), pts))
-    assert ComplexSeries.zero().eval(0.5) == 0
+    assert np.array_equal(ComplexSeries([0]).eval(pts), _horner_loop(np.zeros(1), pts))
+    assert ComplexSeries([0]).eval(0.5) == 0
 
 
 @pytest.mark.parametrize("r", [0.9, 0.999])
@@ -438,7 +411,7 @@ def test_eval_derivative_matches_finite_difference(seed):
 
 
 # ---------------------------------------------------------------------------
-# ring axioms at shared order
+# ring axioms of mul at shared order
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)
@@ -448,11 +421,13 @@ def test_ring_axioms(seed):
     a = ball_coefficients(rng, 24, decay=0.5, mass=0.8)
     b = ball_coefficients(rng, 24, decay=0.5, mass=0.8)
     c = ball_coefficients(rng, 24, decay=0.5, mass=0.8)
-    comm = (a * b).coeffs - (b * a).coeffs
+    comm = a.mul(b).coeffs - b.mul(a).coeffs
     assert np.max(np.abs(comm)) <= 1e-14
-    assoc = ((a * b) * c).coeffs - (a * (b * c)).coeffs
+    assoc = a.mul(b).mul(c).coeffs - a.mul(b.mul(c)).coeffs
     assert np.max(np.abs(assoc)) <= 1e-13
-    dist = (a * (b + c)).coeffs - (a * b + a * c).coeffs
+    # distributivity over coefficient-wise sums
+    dist = (a.mul(ComplexSeries(b.coeffs + c.coeffs)).coeffs
+            - (a.mul(b).coeffs + a.mul(c).coeffs))
     assert np.max(np.abs(dist)) <= 1e-14
 
 
@@ -491,10 +466,10 @@ _B = ball_coefficients(np.random.default_rng(12), 40)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _A + _B, lambda: _B - _A, lambda: _A * _B, lambda: _A * 1, lambda: -_B,
+    lambda: _A.mul(_B),
     lambda: _A.derivative(), lambda: ComplexSeries([3.0]).derivative(),
     lambda: _A.shift_up(), lambda: _B.reciprocal(), lambda: _A.reciprocal(),
-    lambda: ComplexSeries.zero(4), lambda: ComplexSeries.one(4),
+    lambda: ComplexSeries.one(4),
     lambda: ball_coefficients(np.random.default_rng(1), 8),
     lambda: functional_series(FunctionalKind.P, from_phi(_A)),
     lambda: functional_series(FunctionalKind.M, from_phi(_A)),
@@ -502,8 +477,8 @@ _B = ball_coefficients(np.random.default_rng(12), 40)
     lambda: koebe_function(8).phi,
     lambda: build(FamilySpec(FamilyVariant.EX32, order=300)).phi,
     lambda: harmonic_mean(from_phi(_A), from_phi(_B)).mean.phi,
-], ids=["add", "sub", "mul", "scale", "neg", "derivative", "derivative-constant",
-        "shift_up", "reciprocal-recurrence", "reciprocal-newton", "zero", "one",
+], ids=["mul", "derivative", "derivative-constant",
+        "shift_up", "reciprocal-recurrence", "reciprocal-newton", "one",
         "ball", "functional-P", "functional-M", "functional-P-constant", "koebe",
         "build", "harmonic_mean"])
 def test_internal_results_own_read_only_arrays(make):
