@@ -60,6 +60,7 @@ class StarlikeReport(JsonReport):
     min_value: float
     argmin_angle: float
     argmin_radius: float
+    zeros_inside: int
     starlike_numeric: bool
 
 
@@ -104,7 +105,10 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     The numerator phi - z phi' = b_0 + sum_{k>=2} (1 - k) b_k z^k carries
     U's weight, so its values are b_0 plus the weighted tail from the pass
     over phi's coefficients that gives phi's values on every circle
-    (:func:`phi_on_circle`); it is never built.  For phi of order
+    (:func:`phi_on_circle`); it is never built.  As in
+    :func:`check_membership`, ``zeros_inside`` is the :func:`zero_count` of
+    phi on the largest circle, and any zero there, a pole of f, makes the
+    scan not starlike.  For phi of order
     N <= grid the top term (1 - N) b_N z^N is then taken off again: the
     reference answers of the benchmark pin that truncated minimum, so
     keeping the term waits for the next change to them.
@@ -133,12 +137,14 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
             best = lo
             best_angle = float(theta[idx])
             best_radius = float(r)
+    zeros = zero_count(phis[int(np.argmax(radii))])
     return StarlikeReport(
         radii=[float(r) for r in radii],
         min_value=best,
         argmin_angle=best_angle,
         argmin_radius=best_radius,
-        starlike_numeric=bool(best >= -STARLIKE_TOL),
+        zeros_inside=zeros,
+        starlike_numeric=bool(zeros == 0 and best >= -STARLIKE_TOL),
     )
 
 

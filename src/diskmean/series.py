@@ -265,18 +265,10 @@ class ComplexSeries:
         if rows > 1:
             degree = 0
             if weight is not None:
-                diffs = weight(m + grid * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
-                for i in range(1, diffs.shape[0]):
-                    diffs[i:] = diffs[i:] - diffs[i - 1: -1]
-                # a weight of lower degree has exactly zero higher differences
-                while diffs.shape[0] > 1 and not diffs[-1].any():
-                    diffs = diffs[:-1]
+                diffs = _forward_differences(weight, grid)
                 degree = diffs.shape[0] - 1
             q = np.arange(1.0, rows)
-            moments = np.empty((len(rad), degree + 1, q.size))
-            moments[:, 0] = np.power(step, q)
-            for i in range(1, degree + 1):
-                moments[:, i] = moments[:, i - 1] * (q - (i - 1)) / i
+            moments = _binomial_moments(np.power(step, q), q, degree)
             # all radii's real moments times the coefficients' (re, im)
             # pairs: one read of them, half the work of a complex product
             body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
@@ -294,6 +286,35 @@ class ComplexSeries:
         folded[:, :, :head] *= np.power(rad, m)
         values = np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
         return values[0] if weight is None else (values[0], values[1])
+
+
+def _forward_differences(weight, step: int) -> np.ndarray:
+    """Rows d_0 .. d_D of Newton's forward differences of ``weight`` with
+    the given step, at m = 0 .. step-1: weight(m + q step) equals
+    sum_i d_i[m] binom(q, i) for every q >= 0.
+
+    ``weight`` must be a polynomial in k of degree at most 3; the table is
+    exact while its values at k < 4 step are integers below 2**53.  A
+    weight of lower degree has exactly zero higher differences, and those
+    rows are left out, so D is the weight's degree.
+    """
+    m = np.arange(float(step))
+    diffs = weight(m + step * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
+    for i in range(1, diffs.shape[0]):
+        diffs[i:] = diffs[i:] - diffs[i - 1: -1]
+    while diffs.shape[0] > 1 and not diffs[-1].any():
+        diffs = diffs[:-1]
+    return diffs
+
+
+def _binomial_moments(first: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:
+    """first * binom(q, i) for i = 0 .. degree, stacked on a new axis
+    before q's last one."""
+    moments = np.empty(first.shape[:-1] + (degree + 1, q.size))
+    moments[..., 0, :] = first
+    for i in range(1, degree + 1):
+        moments[..., i, :] = moments[..., i - 1, :] * (q - (i - 1)) / i
+    return moments
 
 
 def circle_angles(grid: int) -> np.ndarray:

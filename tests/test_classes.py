@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from diskmean import (
     sup_on_circle,
 )
 from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
-from diskmean.functionals import grid_min
+from diskmean.functionals import _KIND_WEIGHTS, grid_min
 from diskmean.series import circle_angles
 
 U, P, M, N = (FunctionalKind.U, FunctionalKind.P,
@@ -53,6 +54,73 @@ def test_criterion_P_weights():
     fn = from_phi(ComplexSeries([1, 0, 0.5, 0.25]))
     # k(k-1) weights: 2*1*0.5 + 3*2*0.25
     assert abs(coefficient_criterion(P, fn) - 2.5) <= 1e-15
+
+
+def _criterion_by_blocks(kind, f):
+    # the sum before the moment form: term by term in blocks of 2^15 terms
+    b = f.phi.coeffs
+    total = 0.0
+    for start in range(2, b.size, 1 << 15):
+        stop = min(start + (1 << 15), b.size)
+        w = np.abs(_KIND_WEIGHTS[kind](np.arange(float(start), stop)))
+        w *= np.abs(b[start:stop])
+        total += float(np.sum(w))
+    return total
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 17, 129, 1000, 4095, 4096])
+def test_criterion_first_row_bit_identical_to_block_sum(size):
+    rng = np.random.default_rng(size)
+    c = rng.normal(size=size) + 1j * rng.normal(size=size)
+    c[0] = 1.0
+    fn = from_phi(ComplexSeries(c))
+    for kind in (U, P, M, N):
+        assert coefficient_criterion(kind, fn) == _criterion_by_blocks(kind, fn), kind
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_criterion_budget_families_exact_past_the_first_row(n):
+    # one term at k = 2n + 1 in the first row; the full rows and the
+    # partial last one add exactly 0
+    ex31 = build(FamilySpec(FamilyVariant.EX31, n=n, order=70000))
+    ex34 = build(FamilySpec(FamilyVariant.EX34, n=n, order=70000))
+    assert coefficient_criterion(M, ex31) == 1.0
+    assert coefficient_criterion(P, ex34) == 2.0
+
+
+# the ex33 sources of the benchmark's catalog (bench/workloads.py)
+_CATALOG_EX33 = [(n, frac * (n - 2) / (n - 1), beta) for n in (3, 4, 5, 6, 8)
+                 for frac in (0.5, 1.0) for beta in (0.3, 1.2)]
+
+
+@pytest.mark.parametrize("n, b, beta", _CATALOG_EX33)
+def test_criterion_ex33_long_equals_default_order(n, b, beta):
+    long, short = (build(FamilySpec(FamilyVariant.EX33, n=n, b=b, beta=beta, order=order))
+                   for order in (70000, 128))
+    for kind in (U, P, M, N):
+        assert coefficient_criterion(kind, long) == coefficient_criterion(kind, short)
+
+
+@pytest.mark.parametrize("order", [10 ** 6, 2 ** 17 + 5, 5000])
+def test_criterion_ex32_within_four_eps_of_exact_sum(order):
+    b = _ex32(order).phi.coeffs
+    for kind in (U, P, M, N):
+        terms = np.abs(_KIND_WEIGHTS[kind](np.arange(2.0, b.size))) * np.abs(b[2:])
+        exact = math.fsum(terms.tolist())
+        got = coefficient_criterion(kind, _ex32(order))
+        assert abs(got - exact) <= 4 * 2.0 ** -52 * exact, kind
+
+
+def test_criterion_memory_bounded():
+    # a full-length |b| alone would take 8 MiB
+    fn = _ex32(10 ** 6)
+    tracemalloc.start()
+    try:
+        coefficient_criterion(N, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +439,33 @@ def test_starlike_json_fields():
     rep = starlike_scan(identity_function(8), radii=(0.9,), grid=64)
     data = json.loads(json.dumps(rep.to_dict()))
     assert list(data.keys()) == [
-        "radii", "min_value", "argmin_angle", "argmin_radius", "starlike_numeric"]
+        "radii", "min_value", "argmin_angle", "argmin_radius", "zeros_inside",
+        "starlike_numeric"]
+    assert data["zeros_inside"] == 0
+
+
+@pytest.mark.parametrize("radii, zeros", [
+    ((0.999,), 1),
+    ((0.999, 0.3), 1),
+    ((0.3, 0.999), 1),
+    ((0.3,), 0),
+])
+def test_starlike_counts_poles_inside_largest_radius(radii, zeros):
+    # f = z/(1 + 3z) has a pole at -1/3; only on circles past it is that
+    # a zero of phi inside, which makes the scan not starlike
+    rep = starlike_scan(from_phi(ComplexSeries([1, 3])), radii=radii, grid=1024)
+    assert rep.zeros_inside == zeros
+    assert rep.starlike_numeric == (zeros == 0 and rep.min_value >= -1e-6)
+
+
+@pytest.mark.parametrize("source", [
+    lambda: build(FamilySpec(FamilyVariant.EX31, n=2)),
+    lambda: _ex32(2 ** 17),
+], ids=["ex31", "ex32@2^17"])
+def test_starlike_zero_free_family_has_no_zeros_inside(source):
+    rep = starlike_scan(source(), radii=(0.9, 0.999, 0.99))
+    assert rep.zeros_inside == 0
+    assert rep.starlike_numeric
 
 
 # ---------------------------------------------------------------------------
