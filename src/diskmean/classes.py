@@ -18,7 +18,7 @@ from .functionals import (
     grid_min,
     phi_on_circle,
     scan_report,
-    sup_on_circle,
+    sup_on_circle,  # noqa: F401  (a binding site bench/tracing.py wraps)
     zero_count,
 )
 
@@ -152,20 +152,32 @@ def class_radius(kind: FunctionalKind, f: NormalizedFunction,
                  tol: float = RADIUS_TOL, grid: int = 2048) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
 
-    Bisection over r in [1e-3, 1 - 1e-4], at most 60 iterations; a scan
-    violates the bound by check_membership's rule (margin below -1e-9).
-    Returns 1.0 when no violation is found up to r = 1 - 1e-4; returns the
-    bracket floor if the functional already violates the bound there.
+    Bisection over r in [1e-3, 1 - 1e-4], at most 60 iterations.  A circle
+    violates it by check_membership's rule: a scan margin below -1e-9, or
+    a nonzero :func:`zero_count` of phi there (a pole of f inside), so the
+    result is at most about the modulus of phi's first zero.  Returns 1.0
+    when no violation is found up to r = 1 - 1e-4; returns the bracket
+    floor if the functional already violates the bound there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-3, 1.0 - 1e-4
 
-    def violated(r: float) -> bool:
-        return sup_on_circle(kind, f, r, grid).margin < -MARGIN_TOL
+    def scan(r: float):
+        theta, phis, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+        return phis, scan_report(kind, r, theta, values).margin < -MARGIN_TOL
 
-    if not violated(hi):
+    phis, over = scan(hi)
+    # the count of phi's zeros inside |z| = r cannot fall as r grows, so
+    # with none inside the upper bracket no step needs to count them
+    poles = zero_count(phis) > 0
+    if not (poles or over):
         return 1.0
+
+    def violated(r: float) -> bool:
+        phis, over = scan(r)
+        return over or (poles and zero_count(phis) > 0)
+
     if violated(lo):
         return lo
     for _ in range(60):

@@ -304,14 +304,21 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
 def zero_count(values: np.ndarray) -> int:
     """Winding number about 0 of phi's values on one circle, in grid order.
 
-    The sum of the steps angle(v[j+1]/v[j]), the last one from v[-1] back
-    to v[0], over 2 pi: by the argument principle, the number of zeros of
-    phi inside the circle, provided no step between neighbouring grid
-    points turns by pi or more.  ``values`` must be nonzero, as
-    :func:`phi_on_circle` ensures.
+    The signed count of steps v[j] -> v[j+1], the last one from v[-1] back
+    to v[0], that cross the negative real axis: Im v changes sign there,
+    and the sign of Im(conj(v[j]) v[j+1]) says whether the step turns
+    counterclockwise (+1, from Im v >= 0 to Im v < 0) or clockwise (-1,
+    the other way) through it, not through the positive axis.  By the
+    argument principle this is the number of zeros of phi inside the
+    circle, provided no step between neighbouring grid points turns by pi
+    or more.  ``values`` must be nonzero, as :func:`phi_on_circle` ensures.
     """
-    steps = np.angle(np.roll(values, -1) / values)
-    return round(float(np.sum(steps)) / (2.0 * np.pi))
+    upper = values.imag >= 0
+    j = np.flatnonzero(upper != np.roll(upper, -1))
+    a, b = values[j], values[(j + 1) % values.size]
+    turn = (a.conj() * b).imag
+    up = upper[j]
+    return int(np.count_nonzero(up & (turn > 0)) - np.count_nonzero(~up & (turn < 0)))
 
 
 def grid_min(values: np.ndarray) -> tuple[float, int]:

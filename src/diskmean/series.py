@@ -42,9 +42,10 @@ EPS_LEAD = 1e-12
 # gave the least total time over 49..289 coefficients.
 _NEWTON_MIN = 64
 
-# eval takes points _CHUNK at a time, which bounds its power table at
-# _CHUNK * sqrt(N) values.
-_CHUNK = 256
+# eval takes as many points at a time as keep its two power tables, of
+# about sqrt(N) rows each, within _CHUNK_VALUES values (4 MiB): short series
+# take hundreds of points in one chunk, long ones a hundred or so.
+_CHUNK_VALUES = 1 << 18
 
 # highest polynomial degree of the weights on_circle accepts
 _WEIGHT_DEGREE = 3
@@ -194,28 +195,38 @@ class ComplexSeries:
         coefficients are skipped (scanned for only when the last one is 0).
         Every length takes one path (Paterson & Stockmeyer, SIAM J. Comput.
         2, 1973): rows of L = 2**(bitlen(N) // 2) ~ sqrt(N) coefficients times
-        a table of z**0 .. z**(L-1) give every row's value, and Horner in
-        z**L sums the rows, in about sqrt(N) array steps instead of N.  The
-        table doubles, z**(k..2k-1) = z**(0..k-1) * z**k, squaring z**k up to
-        z**L.  As in Horner, the k-th term carries at most about k eps
-        relative error, so the error is at worst about
-        N eps sum_k |c_k| |z|**k; truncation error grows outside |z| <= 1.
+        a table of z**0 .. z**(L-1) give every row's value, and a second
+        table of w**0 .. w**R, w = z**L and R the number of full rows, sums
+        them: the value is top w**R + sum_q row_q w**q, where the last row,
+        1 to L coefficients, holds the top one.  Both tables double,
+        x**(k..2k-1) = x**(0..k-1) * x**k, so a chunk of points costs
+        O(log N) array steps.  Without a full row, z**L is never formed, so
+        a short series does not overflow at a huge point.  As in Horner,
+        the k-th term carries at most about k eps relative error, so the
+        error is at worst about N eps sum_k |c_k| |z|**k; truncation error
+        grows outside |z| <= 1.
         """
         pts = np.asarray(z, dtype=np.complex128)
         c = self.coeffs
         if c[-1] == 0:
             c = c[: c.size - int(np.argmax(c[::-1] != 0))]
         width = 1 << (c.size.bit_length() // 2)
-        # the last row (1 to L coefficients) holds the top one, so no zero
-        # row is multiplied by z**L, which may overflow
         full = c[: (c.size - 1) // width * width].reshape(-1, width)
         rest = c[full.size:]
         flat = pts.reshape(-1)
         out = np.empty(flat.shape, dtype=np.complex128)
-        for start in range(0, flat.size, _CHUNK):
-            table, giant = _powers(flat[start: start + _CHUNK], width, full.size > 0)
-            top = rest @ table[: rest.size]
-            out[start: start + _CHUNK] = _horner(full @ table, giant, top)
+        chunk = max(_CHUNK_VALUES // (width + full.shape[0] + 1), 1)
+        for start in range(0, flat.size, chunk):
+            x = flat[start: start + chunk]
+            table = _powers(x, width)
+            value = rest @ table[: rest.size]
+            if full.size:
+                giant = _powers(table[-1] * x, full.shape[0] + 1)
+                rows = full @ table
+                rows *= giant[:-1]
+                value *= giant[-1]
+                value += rows.sum(axis=0)
+            out[start: start + chunk] = value
         out = out.reshape(pts.shape)
         return complex(out) if isinstance(z, numbers.Number) else out
 
@@ -345,23 +356,17 @@ def _fft_mul(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(x, length) * np.fft.fft(y, length))
 
 
-def _powers(x: np.ndarray, width: int, giant: bool):
-    """Rows x**0 .. x**(width-1), doubled from row 0, and x**width if giant."""
-    table = np.empty((width, x.size), dtype=np.complex128)
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """Rows x**0 .. x**(count-1), doubled from row 0: rows k .. 2k-1 are
+    rows 0 .. k-1 times x**k, and x**k is squared only while needed."""
+    table = np.empty((count, x.size), dtype=np.complex128)
     table[0] = 1.0
     step, k = x, 1
-    while k < width:
-        np.multiply(table[:k], step, out=table[k: 2 * k])
-        step, k = (step * step if giant or 2 * k < width else step), 2 * k
-    return table, step
-
-
-def _horner(c: np.ndarray, x: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """acc x**n + sum_k c[k] x**k (n = len(c)) by Horner's rule, in acc."""
-    for k in range(c.shape[0] - 1, -1, -1):
-        acc *= x
-        acc += c[k]
-    return acc
+    while k < count:
+        m = min(k, count - k)
+        np.multiply(table[:m], step, table[k: k + m])
+        step, k = (step * step if 2 * k < count else step), 2 * k
+    return table
 
 
 def ball_coefficients(rng: np.random.Generator, order: int,

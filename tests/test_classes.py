@@ -506,3 +506,37 @@ def test_radius_consistency():
     above = sup_on_circle(M, fn, r + 2 * tol, 2048)
     assert below.margin >= -1e-9
     assert above.margin < -1e-9
+
+
+@pytest.mark.parametrize("kind, phi, pole", [
+    # M's functional of z/(1 + 3z) is identically 0, so only the pole at
+    # -1/3 bounds the radius
+    (M, [1, 3], 1 / 3),
+    # z/(1 + 1.05z): a pole at |z| = 1/1.05 = 0.952
+    (U, [1, 1.05], 1 / 1.05),
+], ids=["M-pole-third", "U-pole-0.952"])
+def test_radius_stops_at_pole(kind, phi, pole):
+    assert abs(class_radius(kind, from_phi(ComplexSeries(phi))) - pole) <= 1e-4
+
+
+def test_radius_counts_zeros_only_with_one_inside_upper_bracket(monkeypatch):
+    # the zero count cannot fall as r grows: zero-free at r = 1 - 1e-4
+    # means the bisection steps never count
+    import diskmean.classes
+    counts = []
+    zero_count = diskmean.classes.zero_count
+
+    def spy(values):
+        counts.append(zero_count(values))
+        return counts[-1]
+
+    monkeypatch.setattr(diskmean.classes, "zero_count", spy)
+    # |M| = 4 * 0.9 r^3 for phi = 1 + 0.9z^3, whose zeros lie at 1.036
+    r = class_radius(M, from_phi(ComplexSeries([1, 0, 0, 0.9])))
+    assert abs(r - 3.6 ** (-1 / 3)) <= 3e-5
+    assert counts == [0]
+    counts.clear()
+    # 1 + 2z^2 has its zeros at its class radius 2^-1/2: every step counts
+    r = class_radius(M, from_phi(ComplexSeries([1, 0, 2])))
+    assert abs(r - 2 ** -0.5) <= 3e-5
+    assert len(counts) > 10 and counts[0] == 2

@@ -253,6 +253,44 @@ def test_sup_raises_on_phi_zero_inside():
         sup_on_circle(U, fn, 0.5, 64)
 
 
+def _angle_sum_count(values):
+    """Reference: the winding number as the sum of the step angles."""
+    steps = np.angle(np.roll(values, -1) / values)
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
+
+
+def test_zero_count_matches_angle_sum_on_random_polynomials():
+    # 6000 polynomials of degree 1..8 with zeros at moduli 0.2..3, on grids
+    # of 16 to 8192 points: coarse grids near a zero break the no-half-turn
+    # rule, and the two forms still give the same integer
+    from diskmean.functionals import zero_count
+    rng = np.random.default_rng(6000)
+    for _ in range(6000):
+        degree = int(rng.integers(1, 9))
+        roots = rng.uniform(0.2, 3.0, degree) * np.exp(2j * np.pi * rng.random(degree))
+        grid = 1 << int(rng.integers(4, 14))
+        z = np.exp(2j * np.pi * np.arange(grid) / grid)
+        values = np.prod(z - roots[:, None], axis=0)
+        assert zero_count(values) == _angle_sum_count(values), (roots, grid)
+
+
+@pytest.mark.parametrize("phi, zeros", [
+    # the mean of (1 + z/1.05)^4 and (1 - z/1.05)^4: two zeros at 0.435
+    ((1 / 1.05) ** np.arange(5) * [1, 0, 6, 0, 1], 2),
+    # the mean of Koebe and its quarter turn, 1 - (1 + i) z: one zero
+    ([1, -1 - 1j], 1),
+    # z/(1 + 3z), a pole at -1/3
+    ([1, 3], 1),
+    # 1 + 2z^2: two zeros at 2^-1/2
+    ([1, 0, 2], 2),
+], ids=["interior-pair", "koebe-quarter-turn", "pole", "two-z-squared"])
+@pytest.mark.parametrize("r, grid", [(0.999, 4096), (0.999, 2048), (0.9, 64)])
+def test_zero_count_matches_angle_sum_on_zero_pairs(phi, zeros, r, grid):
+    from diskmean.functionals import phi_on_circle, zero_count
+    _, values = phi_on_circle(from_phi(ComplexSeries(phi)), r, grid)
+    assert zero_count(values) == _angle_sum_count(values) == zeros
+
+
 def test_scan_report_json_fields():
     rep = sup_on_circle(U, koebe_function(), 0.5, 64)
     data = json.loads(json.dumps(rep.to_dict()))

@@ -236,8 +236,7 @@ def _horner_loop(c, pts):
 
 @pytest.mark.parametrize("order, points", [(5000, 64), (100_000, 16), (2000, 600)])
 def test_eval_blocks_match_horner_loop(order, points):
-    # rows of 64 and of 256 coefficients; 600 points go through in three
-    # chunks
+    # rows of 64 and of 256 coefficients
     rng = np.random.default_rng(41)
     s = ball_coefficients(rng, order, decay=0.999)
     pts = 0.99 * np.exp(2j * np.pi * rng.random(points))
@@ -262,7 +261,7 @@ def test_eval_skips_trailing_zeros(size, zeros):
 
 @pytest.mark.parametrize("points", [1, 64, 600])
 def test_eval_matches_horner_at_every_length(points):
-    # one blocked algorithm from 1 coefficient up; 600 points are three chunks
+    # one blocked algorithm from 1 coefficient up
     rng = np.random.default_rng(points)
     pts = 0.999 * np.sqrt(rng.random(points)) * np.exp(2j * np.pi * rng.random(points))
     for size in (1, 2, 3, 4, 8, 16, 129, 513, 1024, 1025, 2049):
@@ -272,22 +271,51 @@ def test_eval_matches_horner_at_every_length(points):
         assert np.all(gap <= 1e-13 * mass), (size, np.max(gap / mass))
 
 
-@pytest.mark.parametrize("points", [1, 64])
-@pytest.mark.parametrize("size", [2, 4, 129, 513, 1024, 1025, 100_000])
+@pytest.mark.parametrize("points", [1, 64, 500, 5000])
+@pytest.mark.parametrize("size", [2, 4, 9, 129, 513, 1024, 1025, 100_000])
 def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
-    # Horner runs only over the row values, about sqrt(N) of them, at
-    # every length
-    steps = []
-    horner = diskmean.series._horner
+    # the about sqrt(N) giant steps are a second doubled table, not a loop
+    # over the rows: each chunk builds z**0 .. z**(L-1), and w**0 .. w**R
+    # (w = z**L) when there is a full row, and the two together stay within
+    # the chunk budget
+    shapes = []
+    powers = diskmean.series._powers
 
-    def spy(c, *args):
-        steps.append(c.shape[0])
-        return horner(c, *args)
+    def spy(x, count):
+        table = powers(x, count)
+        shapes.append(table.shape)
+        return table
 
-    monkeypatch.setattr(diskmean.series, "_horner", spy)
+    monkeypatch.setattr(diskmean.series, "_powers", spy)
     c = np.random.default_rng(size).uniform(0.5, 1.0, size)  # no zero to trim
     ComplexSeries(c).eval(0.5 * np.exp(2j * np.pi * np.arange(points) / points))
-    assert steps and max(steps) <= 2 * int(np.ceil(np.sqrt(size))) + 1, steps
+    width = 1 << (size.bit_length() // 2)
+    rows = (size - 1) // width
+    counts = [width, rows + 1] if rows else [width]
+    assert max(counts) <= 2 * int(np.ceil(np.sqrt(size))) + 1
+    chunks = [shapes[i: i + len(counts)] for i in range(0, len(shapes), len(counts))]
+    assert sum(chunk[0][1] for chunk in chunks) == points
+    for chunk in chunks:
+        assert [count for count, _ in chunk] == counts, shapes
+        assert len({n for _, n in chunk}) == 1, shapes
+        assert sum(count * n for count, n in chunk) <= diskmean.series._CHUNK_VALUES
+    if points <= 500 and size <= 1025:
+        assert len(chunks) == 1  # short series do not split hundreds of points
+
+
+@pytest.mark.parametrize("size, points", [(1_000_000, 1), (131_077, 4), (8193, 3000)],
+                         ids=["1e6-one-point", "131077-four-points", "many-chunks"])
+def test_eval_giant_table_matches_horner_loop(size, points):
+    # points near |z| = 1 - 1/N keep the last rows' terms near e**-1 of the
+    # first ones, so every giant power counts; 3000 points at 8193
+    # coefficients take three chunks
+    rng = np.random.default_rng(size)
+    c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    radius = 1.0 - 1.0 / size
+    pts = radius * np.exp(2j * np.pi * rng.random(points))
+    mass = np.abs(c) @ radius ** np.arange(size)
+    gap = np.abs(ComplexSeries(c).eval(pts) - _horner_loop(c, pts))
+    assert np.all(gap <= 1e-13 * mass), np.max(gap / mass)
 
 
 def test_eval_short_series_at_huge_point():
