@@ -38,7 +38,8 @@ EPS_LEAD = 1e-12
 
 # reciprocal runs the recurrence alone on at most _NEWTON_MIN coefficients
 # and seeds Newton iteration with it on longer series.  The recurrence and
-# gated Newton tie near 130 coefficients; of the limits 32, 64 and 128, 64
+# gated Newton, its products at cyclic length t - 1, tie at 129 to 137
+# coefficients (over 65..289, one thread); of the limits 32, 64 and 128, 64
 # gave the least total time over 49..289 coefficients.
 _NEWTON_MIN = 64
 
@@ -141,17 +142,32 @@ class ComplexSeries:
         Both products are FFTs, so N coefficients cost O(N log N) instead
         of O(N^2).
 
+        Both products of a step run at one cyclic length, L =
+        _fft_length(t - 1), and share one transform of r[:m].  A cyclic
+        product of length L adds the coefficient of z^(d + L) to that of
+        z^d, so only degrees past L - 1 can spoil it.  r[:m] E has degree at
+        most t - 2, so nothing wraps.  For a r, degrees m..t-1 could only
+        receive degrees from L + m on, and at L >= t those lie past the
+        product's top degree, t + m - 2.  At L = t - 1, which every step of
+        a 2^k + 1-coefficient series takes, the product is of a[:t-1] and
+        r[:m]: degrees m..t-2 are exact and degree t - 1 lands on degree 0,
+        so E's last entry is y_0 - a_0 r_0 + a_{t-1} r_0, with y the cyclic
+        product and a_{t-1} r_0 the one term a[:t-1] leaves out.
+
         FFT rounding is bounded relative to the operands' 2-norms, not
         coefficient by coefficient, so the Newton result must pass a
         residual gate at every degree k < N (N the number of coefficients):
         |(a r - 1)_k| <= eps log2(2N) ||a_0..a_k||_2 ||r_0..r_k||_2, with
         eps the double-precision machine epsilon.  Taking only the terms up
         to degree k in the norms makes the gate hold each coefficient to
-        its own scale.  Where r's coefficients grow (a zero of a on or
-        inside the unit circle, as for Koebe's (1 - z)^2), rounding at the
-        scale of the large late terms swamps the small early ones and the
-        residual exceeds the gate by orders of magnitude; the result of the
-        recurrence is returned then, and also when the residual is NaN.
+        its own scale.  The residual's product runs at _fft_length(2N - 2);
+        at exactly 2N - 2 its top degree wraps onto degree 0, and that
+        term, a_{N-1} r_{N-1}, is subtracted there.  Where r's coefficients
+        grow (a zero of a on or inside the unit circle, as for Koebe's
+        (1 - z)^2), rounding at the scale of the large late terms swamps
+        the small early ones and the residual exceeds the gate by orders of
+        magnitude; the result of the recurrence is returned then, and also
+        when the residual is NaN.
 
         Raises:
             LeadingCoefficientNearZero: if ``|a_0| <= 1e-12``.
@@ -173,11 +189,22 @@ class ComplexSeries:
             # overflow turns into inf/NaN, which the gate rejects
             with np.errstate(over="ignore", invalid="ignore"):
                 for t in reversed(counts):
-                    # wrapped terms land below degree m, which is not read
-                    high = _fft_mul(a[:t], r[:m], t)[m:t]
-                    r[m:t] = -_fft_mul(r[:m], high, t)[: t - m]
+                    length = _fft_length(t - 1)
+                    fr = np.fft.fft(r[:m], length)
+                    # a[:t] is cropped to a[:t-1] when length = t - 1
+                    prod = np.fft.ifft(np.fft.fft(a[:t], length) * fr)
+                    high = prod[m:t]
+                    if length < t:
+                        # degree t - 1 wrapped onto degree 0
+                        high = np.append(high, prod[0] - a[0] * r[0] + a[t - 1] * r[0])
+                    fr *= np.fft.fft(high, length)
+                    r[m:t] = -np.fft.ifft(fr)[: t - m]
                     m = t
-                resid = _fft_mul(a, r, 2 * n - 1)[:n]
+                length = _fft_length(2 * n - 2)
+                resid = np.fft.ifft(np.fft.fft(a, length) * np.fft.fft(r, length))[:n]
+                if length < 2 * n - 1:
+                    # degree 2n - 2 wrapped onto degree 0
+                    resid[0] -= a[n - 1] * r[n - 1]
                 resid[0] -= 1.0
                 gate = np.finfo(np.float64).eps * np.log2(2 * n) * np.sqrt(
                     np.cumsum(np.abs(a) ** 2) * np.cumsum(np.abs(r) ** 2))
@@ -343,17 +370,18 @@ def _recurrence(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _fft_mul(x: np.ndarray, y: np.ndarray, size: int) -> np.ndarray:
-    """Cyclic convolution of x and y at the least length L >= ``size`` of
-    the form 2^j or 3 * 2^j (both fast FFT lengths).
+def _fft_length(size: int) -> int:
+    """The least L >= ``size`` of the form 2^j or 3 * 2^j, the FFT lengths
+    of every product in :meth:`ComplexSeries.reciprocal`.
 
-    Degree d < L holds the Cauchy product's coefficient of z^d plus that of
-    z^(d + L), if the product reaches that degree.
+    Admitting a factor 5 shortens no product of a 2^k + 1-coefficient
+    series and rounds worse at other sizes: Newton's result on ex31 at 8001
+    coefficients moved from within 2.5e-13 to 8.3e-13 of the recurrence's.
     """
     length = 1 << (size - 1).bit_length()
     if 3 * length >= 4 * size:
         length = 3 * length // 4
-    return np.fft.ifft(np.fft.fft(x, length) * np.fft.fft(y, length))
+    return length
 
 
 def _powers(x: np.ndarray, count: int) -> np.ndarray:

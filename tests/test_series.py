@@ -133,7 +133,7 @@ _ACCEPTED = {
 }
 
 
-@pytest.mark.parametrize("order", [2048, 8192])
+@pytest.mark.parametrize("order", [2047, 2048, 6000, 8192])
 @pytest.mark.parametrize("name", list(_ACCEPTED))
 def test_reciprocal_newton_matches_recurrence(recurrence_sizes, name, order):
     # phi has no zero in the closed disk, so 1/phi's coefficients stay
@@ -143,6 +143,47 @@ def test_reciprocal_newton_matches_recurrence(recurrence_sizes, name, order):
     got = a.reciprocal().coeffs
     assert len(recurrence_sizes) == 1 and recurrence_sizes[0] <= 64
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("size", [2049, 8193])
+def test_reciprocal_wrapped_terms_with_large_top_coefficient(recurrence_sizes, size):
+    # at 2^k + 1 coefficients the step to t = size // 2 + 1, the last step
+    # and the residual gate each run at a cyclic length one short of exact,
+    # and a_{t-1} (0.001i, then 0.01) sets the term that wraps onto degree 0
+    a = np.zeros(size, dtype=complex)
+    a[:2] = [1.0, -0.999]
+    a[size // 2] = 0.001j
+    a[-1] = 0.01
+    want = _reciprocal_loop(a)
+    got = ComplexSeries(a).reciprocal().coeffs
+    assert len(recurrence_sizes) == 1 and recurrence_sizes[0] <= 64
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture
+def fft_lengths(monkeypatch):
+    """Lengths of the forward and inverse transforms numpy is asked for."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        def spy(x, n=None, *args, inner=getattr(np.fft, name), **kwargs):
+            lengths.append(len(x) if n is None else n)
+            return inner(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return lengths
+
+
+@pytest.mark.parametrize("size, steps, gate", [
+    (8193, [64, 128, 256, 512, 1024, 2048, 4096, 8192], 16384),
+    (6001, [96, 192, 384, 768, 1536, 3072, 6144], 12288),
+], ids=["wrapped-8193", "unwrapped-6001"])
+def test_reciprocal_fft_lengths(recurrence_sizes, fft_lengths, size, steps, gate):
+    # each Newton step transforms r[:m], a[:t] and E and inverts two
+    # products, all at one length; the gate transforms a and r and inverts
+    # once.  6001 keeps the lengths of exact linear convolution.
+    ball_coefficients(np.random.default_rng(5), size - 1).reciprocal()
+    assert len(recurrence_sizes) == 1
+    assert fft_lengths == [n for n in steps for _ in range(5)] + [gate] * 3
 
 
 def test_reciprocal_koebe_falls_back_exact(recurrence_sizes):
