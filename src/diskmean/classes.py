@@ -10,7 +10,6 @@ from .functionals import (
     _KIND_WEIGHTS,
     MARGIN_TOL,
     FunctionalKind,
-    JsonReport,
     NormalizedFunction,
     ScanReport,
     coefficient_criterion,
@@ -42,7 +41,7 @@ FAIL_NUMERIC = "FailNumeric"
 
 
 @dataclass(frozen=True)
-class MembershipReport(JsonReport):
+class MembershipReport:
     kind: FunctionalKind
     coefficient_sum: float
     scans: list[ScanReport]
@@ -55,7 +54,7 @@ class MembershipReport(JsonReport):
 
 
 @dataclass(frozen=True)
-class StarlikeReport(JsonReport):
+class StarlikeReport:
     radii: list[float]
     min_value: float
     argmin_angle: float

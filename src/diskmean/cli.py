@@ -29,7 +29,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+
+import numpy as np
 
 from .classes import (
     DEFAULT_GRID,
@@ -65,6 +68,10 @@ BOUNDARY_GRID = 2048
 #: Environment variables read as the global flags of the same settings.
 _ENV_FLAGS = {"DISKMEAN_ORDER": "--order", "DISKMEAN_GRID": "--grid",
              "DISKMEAN_RADII": "--radii"}
+
+#: The keys of each family source: the FamilySpec fields its variant reads.
+_FAMILY_KEYS = {"ex31": {"n", "order"}, "ex32": {"order"},
+                "ex33": {"n", "b", "beta", "order"}, "ex34": {"n", "order"}}
 
 
 class SourceError(DiskMeanError):
@@ -114,6 +121,8 @@ def _parse_kv(body: str, allowed: set[str]) -> dict[str, str]:
         key = key.strip()
         if key not in allowed:
             raise SourceError(f"unknown key {key!r} (allowed: {sorted(allowed)})")
+        if key in out:
+            raise SourceError(f"repeated key {key!r}")
         out[key] = val.strip()
     return out
 
@@ -129,20 +138,18 @@ def parse_source(text: str, config: RunConfig,
     head, _, body = text.partition(":")
     head = head.lower()
 
-    if head == "identity":
-        return identity_function(config.order)
-    if head == "koebe":
-        return koebe_function(config.order)
+    if head in ("identity", "koebe"):
+        if body:
+            raise SourceError(f"{head} takes no parameters, got {body!r}")
+        return (identity_function if head == "identity" else koebe_function)(config.order)
     if head == "phi":
         if not body:
             raise SourceError("phi: needs a coefficient list")
         coeffs = [_parse_complex(tok) for tok in body.split(",")]
         return NormalizedFunction(ComplexSeries(coeffs), text)
 
-    variants = {v.value: v for v in FamilyVariant}
-    if head in variants:
-        allowed = {"n", "order"} if head != "ex33" else {"n", "b", "beta", "order"}
-        kv = _parse_kv(body, allowed)
+    if head in _FAMILY_KEYS:
+        kv = _parse_kv(body, _FAMILY_KEYS[head])
         try:
             n = int(kv.get("n", "1"))
             b = float(kv.get("b", "0"))
@@ -151,7 +158,7 @@ def parse_source(text: str, config: RunConfig,
                 config.order if order_explicit else None)
         except ValueError as exc:
             raise SourceError(f"bad family parameter in {text!r}") from exc
-        return build(FamilySpec(variants[head], n=n, b=b, beta=beta, order=order))
+        return build(FamilySpec(FamilyVariant(head), n=n, b=b, beta=beta, order=order))
 
     raise SourceError(f"unrecognized function source {text!r}")
 
@@ -175,8 +182,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _plain(o):
+    """What json cannot encode itself: an enum member by its value, a
+    dataclass instance as its fields in order (json recurses into them)."""
+    if isinstance(o, Enum):
+        return o.value
+    if is_dataclass(o) and not isinstance(o, type):
+        return {f.name: getattr(o, f.name) for f in fields(o)}
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
 
 
 def table_csv(rows) -> str:
@@ -223,7 +240,7 @@ def cmd_check(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, hasattr(args, "order"))
     kind = _parse_kind(args.klass)
     report = check_membership(kind, fn, config.radii, config.grid)
-    _emit(_json_dump(report.to_dict()), args.output)
+    _emit(_json_dump(report), args.output)
     return 0 if report.is_member else 2
 
 
@@ -238,10 +255,13 @@ def cmd_mean(args, config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     membership = check_membership(kind, result.mean, config.radii, config.grid)
-    payload = result.to_dict()
-    payload["averaging_residual"] = residual
-    payload["membership"] = membership.to_dict()
-    _emit(_json_dump(payload), args.output)
+    c = result.mean.phi.coeffs
+    _emit(_json_dump({
+        "phi_coefficients": np.column_stack([c.real, c.imag]).tolist(),
+        "min_denominator_modulus": result.min_denominator_modulus,
+        "averaging_residual": residual,
+        "membership": membership,
+    }), args.output)
     return 0 if membership.is_member else 2
 
 
@@ -263,7 +283,7 @@ def cmd_starlike(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, hasattr(args, "order"))
     report = starlike_scan(fn, config.radii if args.all_radii else (max(config.radii),),
                            config.grid)
-    _emit(_json_dump(report.to_dict()), args.output)
+    _emit(_json_dump(report), args.output)
     return 0
 
 
@@ -271,7 +291,7 @@ def cmd_radius(args, config: RunConfig) -> int:
     fn = parse_source(args.source, config, hasattr(args, "order"))
     kind = _parse_kind(args.klass)
     value = class_radius(kind, fn, tol=config.tol, grid=config.grid)
-    _emit(_json_dump({"kind": kind.value, "class_radius": value}), args.output)
+    _emit(_json_dump({"kind": kind, "class_radius": value}), args.output)
     return 0
 
 
@@ -383,7 +403,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from(args)
         if getattr(args, "show_config", False):
-            sys.stdout.write(_json_dump(asdict(config)))
+            sys.stdout.write(_json_dump(config))
             return 0
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)

@@ -25,7 +25,7 @@ independent cross-check of the coefficient forms.
 from __future__ import annotations
 
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -246,21 +246,8 @@ def functional_eval_direct(kind: FunctionalKind, f: NormalizedFunction, z):
 # boundary scans
 # ---------------------------------------------------------------------------
 
-def _by_value(items) -> dict:
-    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
-
-
-class JsonReport:
-    """Serialization shared by the report dataclasses; :meth:`to_dict` is
-    the one serializer: fields in order, nested reports as dicts, enum
-    members by value."""
-
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_by_value)
-
-
 @dataclass(frozen=True)
-class ScanReport(JsonReport):
+class ScanReport:
     """Result of one sup-modulus scan over a circle |z| = radius."""
 
     kind: FunctionalKind

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DenominatorVanishes, PhiVanishes
 from .functionals import (
     FunctionalKind,
-    JsonReport,
     NormalizedFunction,
     functional_series,
     phi_on_circle,
@@ -38,16 +37,9 @@ PROBE_GRID = 4096
 
 
 @dataclass(frozen=True)
-class MeanResult(JsonReport):
+class MeanResult:
     mean: NormalizedFunction
     min_denominator_modulus: float
-
-    def to_dict(self) -> dict:
-        c = self.mean.phi.coeffs
-        return {
-            "phi_coefficients": np.column_stack([c.real, c.imag]).tolist(),
-            "min_denominator_modulus": self.min_denominator_modulus,
-        }
 
 
 def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:

@@ -24,6 +24,7 @@ from diskmean import (
     sup_on_circle,
 )
 from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
+from diskmean.cli import _json_dump
 from diskmean.functionals import _KIND_WEIGHTS, grid_min
 from diskmean.series import circle_angles
 
@@ -250,7 +251,7 @@ def test_scans_reject_radii_outside_the_disk(radii):
 
 def test_membership_json_fields():
     rep = check_membership(U, identity_function(16))
-    data = json.loads(json.dumps(rep.to_dict()))
+    data = json.loads(_json_dump(rep))
     assert list(data.keys()) == ["kind", "coefficient_sum", "scans", "zeros_inside",
                                  "verdict"]
     assert len(data["scans"]) == 3
@@ -437,7 +438,7 @@ def test_starlike_folded_memory_bounded():
 
 def test_starlike_json_fields():
     rep = starlike_scan(identity_function(8), radii=(0.9,), grid=64)
-    data = json.loads(json.dumps(rep.to_dict()))
+    data = json.loads(_json_dump(rep))
     assert list(data.keys()) == [
         "radii", "min_value", "argmin_angle", "argmin_radius", "zeros_inside",
         "starlike_numeric"]

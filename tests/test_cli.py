@@ -69,7 +69,12 @@ def test_phi_grammar_requires_unit_constant(capsys):
     ("ex31:b=0.5", "unknown key"),
     ("phi:", "needs a coefficient list"),
     ("ex34:n=two", "bad family parameter"),
-], ids=["complex-literal", "no-equals", "unknown-key", "phi-empty", "family-parameter"])
+    ("identity:x", "identity takes no parameters"),
+    ("koebe:order=16,bogus", "koebe takes no parameters"),
+    ("ex32:n=7,order=64", "unknown key 'n'"),
+    ("ex31:n=1,n=5", "repeated key 'n'"),
+], ids=["complex-literal", "no-equals", "unknown-key", "phi-empty", "family-parameter",
+        "identity-body", "koebe-body", "ex32-n", "repeated-key"])
 def test_source_error_exit_one(capsys, source, reason):
     code, out, err = run(capsys, "check", "--class", "M", source)
     assert code == 1
@@ -406,3 +411,99 @@ def test_deterministic_output(capsys):
     t1 = run(capsys, "table1", "--extend", "16")
     t2 = run(capsys, "table1", "--extend", "16")
     assert t1 == t2
+
+
+# With phi = 1 every value below is exact, so these literals pin the JSON
+# layout (key order, indentation, final newline) and nothing numerical.
+_SMALL = ["--order", "8", "--grid", "16"]
+_ZERO_PAIRS = ",\n".join(["    [\n      0.0,\n      0.0\n    ]"] * 8)
+_LAYOUTS = {
+    "check": (["check", "--class", "M", "identity", *_SMALL, "--radii", "0.5,0.9"], """{
+  "kind": "M",
+  "coefficient_sum": 0.0,
+  "scans": [
+    {
+      "kind": "M",
+      "radius": 0.5,
+      "grid_size": 16,
+      "extremal_value": 0.0,
+      "extremal_angle": 0.0,
+      "margin": 1.0
+    },
+    {
+      "kind": "M",
+      "radius": 0.9,
+      "grid_size": 16,
+      "extremal_value": 0.0,
+      "extremal_angle": 0.0,
+      "margin": 1.0
+    }
+  ],
+  "zeros_inside": 0,
+  "verdict": "MemberByCoefficient"
+}
+"""),
+    "starlike": (["starlike", "identity", *_SMALL, "--radii", "0.5"], """{
+  "radii": [
+    0.5
+  ],
+  "min_value": 1.0,
+  "argmin_angle": 0.0,
+  "argmin_radius": 0.5,
+  "zeros_inside": 0,
+  "starlike_numeric": true
+}
+"""),
+    "radius": (["radius", "--class", "M", "identity", *_SMALL], """{
+  "kind": "M",
+  "class_radius": 1.0
+}
+"""),
+    "mean": (["mean", "identity", "identity", "--class", "M", *_SMALL, "--radii", "0.5"],
+             """{
+  "phi_coefficients": [
+    [
+      1.0,
+      0.0
+    ],
+%s
+  ],
+  "min_denominator_modulus": 1.0,
+  "averaging_residual": 0.0,
+  "membership": {
+    "kind": "M",
+    "coefficient_sum": 0.0,
+    "scans": [
+      {
+        "kind": "M",
+        "radius": 0.5,
+        "grid_size": 16,
+        "extremal_value": 0.0,
+        "extremal_angle": 0.0,
+        "margin": 1.0
+      }
+    ],
+    "zeros_inside": 0,
+    "verdict": "MemberByCoefficient"
+  }
+}
+""" % _ZERO_PAIRS),
+    "show-config": (["--show-config"], """{
+  "order": 128,
+  "radii": [
+    0.9,
+    0.99,
+    0.999
+  ],
+  "grid": 4096,
+  "tol": 1e-05,
+  "seed": 0
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", list(_LAYOUTS))
+def test_json_layout_byte_for_byte(capsys, name):
+    argv, text = _LAYOUTS[name]
+    assert run(capsys, *argv) == (0, text, "")

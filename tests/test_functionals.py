@@ -27,6 +27,7 @@ from diskmean import (
     starlike_scan,
     sup_on_circle,
 )
+from diskmean.cli import _json_dump
 
 U, P, M, N = FunctionalKind.U, FunctionalKind.P, FunctionalKind.M, FunctionalKind.N
 
@@ -293,7 +294,7 @@ def test_zero_count_matches_angle_sum_on_zero_pairs(phi, zeros, r, grid):
 
 def test_scan_report_json_fields():
     rep = sup_on_circle(U, koebe_function(), 0.5, 64)
-    data = json.loads(json.dumps(rep.to_dict()))
+    data = json.loads(_json_dump(rep))
     assert list(data.keys()) == [
         "kind", "radius", "grid_size", "extremal_value", "extremal_angle", "margin"]
     assert data["kind"] == "U"

@@ -18,6 +18,7 @@ from diskmean import (
     koebe_function,
     verify_closure,
 )
+from diskmean.cli import main
 from diskmean.functionals import phi_on_circle, zero_count
 from diskmean.means import PROBE_GRID, PROBE_RADIUS
 
@@ -193,8 +194,9 @@ def test_averaging_identity_coefficientwise():
         assert np.max(np.abs(lhs - rhs)) <= 1e-15
 
 
-def test_mean_result_json():
-    out = harmonic_mean(identity_function(2), identity_function(2))
-    data = json.loads(json.dumps(out.to_dict()))
-    assert list(data.keys()) == ["phi_coefficients", "min_denominator_modulus"]
+def test_mean_result_json(capsys):
+    assert main(["mean", "identity", "identity", "--class", "M", "--order", "8"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data.keys()) == ["phi_coefficients", "min_denominator_modulus",
+                                 "averaging_residual", "membership"]
     assert data["phi_coefficients"][0] == [1.0, 0.0]
