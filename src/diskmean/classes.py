@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PhiVanishes
 from .functionals import (
     _KIND_WEIGHTS,
     MARGIN_TOL,
@@ -26,7 +28,7 @@ from .functionals import (
 DEFAULT_RADII = (0.9, 0.99, 0.999)
 
 #: Default grids of the membership and starlikeness scans, and the default
-#: bisection tolerance of the radius search.
+#: tolerance of the radius search.
 DEFAULT_GRID = 4096
 STARLIKE_GRID = 8192
 RADIUS_TOL = 1e-5
@@ -151,40 +153,62 @@ def class_radius(kind: FunctionalKind, f: NormalizedFunction,
                  tol: float = RADIUS_TOL, grid: int = 2048) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
 
-    Bisection over r in [1e-3, 1 - 1e-4], at most 60 iterations.  A circle
-    violates it by check_membership's rule: a scan margin below -1e-9, or
-    a nonzero :func:`zero_count` of phi there (a pole of f inside), so the
-    result is at most about the modulus of phi's first zero.  Returns 1.0
-    when no violation is found up to r = 1 - 1e-4; returns the bracket
-    floor if the functional already violates the bound there.
+    A bracketing search over r in [1e-3, 1 - 1e-4], at most 120 probes.  A
+    circle violates the inequality by check_membership's rule: a scan margin
+    below -1e-9, or a nonzero :func:`zero_count` of phi there (a pole of f
+    inside), or phi vanishing on it; so the result is at most about the
+    modulus of phi's first zero.  The sup on |z| = r does not fall as r
+    grows, so its level log(sup/bound) changes sign once: each probe is the
+    regula falsi point of the bracket in (log r, level), with the Illinois
+    rule (Dowell & Jarratt, BIT 11, 1971), or the midpoint where an end has
+    no finite level (a pole inside) or the last interpolated probe left more
+    than half the bracket, so the bracket at least halves every two probes.
+    Returns 1.0 when no violation is found up to r = 1 - 1e-4; returns the
+    bracket floor if the functional already violates the bound there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     lo, hi = 1e-3, 1.0 - 1e-4
+    poles = False
 
-    def scan(r: float):
-        theta, phis, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
-        return phis, scan_report(kind, r, theta, values).margin < -MARGIN_TOL
+    def probe(r: float):
+        # phi's values (None where phi vanishes), violated?, level
+        try:
+            theta, phis, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+        except PhiVanishes:
+            return None, True, math.inf
+        if poles and zero_count(phis) > 0:
+            return phis, True, math.inf
+        rep = scan_report(kind, r, theta, values)
+        level = (math.log(rep.extremal_value / kind.bound) if rep.extremal_value > 0
+                 else -math.inf)
+        return phis, rep.margin < -MARGIN_TOL, level
 
-    phis, over = scan(hi)
+    phis, over, level_hi = probe(hi)
     # the count of phi's zeros inside |z| = r cannot fall as r grows, so
-    # with none inside the upper bracket no step needs to count them
-    poles = zero_count(phis) > 0
+    # with none inside the upper bracket no probe needs to count them
+    poles = phis is None or zero_count(phis) > 0
     if not (poles or over):
         return 1.0
-
-    def violated(r: float) -> bool:
-        phis, over = scan(r)
-        return over or (poles and zero_count(phis) > 0)
-
-    if violated(lo):
+    level_hi = math.inf if poles else level_hi
+    _, over, level_lo = probe(lo)
+    if over:
         return lo
-    for _ in range(60):
-        if hi - lo <= tol:
+    moved_hi = bisect = None
+    for _ in range(120):
+        width = hi - lo
+        if width <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        if violated(mid):
-            hi = mid
+        secant = not bisect and -math.inf < level_lo < level_hi < math.inf
+        r = lo * (hi / lo) ** (level_lo / (level_lo - level_hi)) if secant else 0.5 * (lo + hi)
+        r = min(max(r, lo + 0.5 * tol), hi - 0.5 * tol)
+        _, over, level = probe(r)
+        # Illinois: the end kept a second time in a row has its level halved
+        if over:
+            level_lo *= 0.5 if moved_hi else 1.0
+            hi, level_hi, moved_hi = r, level, True
         else:
-            lo = mid
+            level_hi *= 0.5 if moved_hi is False else 1.0
+            lo, level_lo, moved_hi = r, level, False
+        bisect = secant and hi - lo > 0.5 * width
     return 0.5 * (lo + hi)

@@ -203,24 +203,32 @@ def table_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=8)
+def _angle_column(grid: int) -> tuple[str, ...]:
+    # the same for every curve on one grid, so formatted once per grid
+    return tuple(map("{:.12g}".format, (2.0 * math.pi * np.arange(grid + 1) / grid).tolist()))
+
+
 def boundary_csv(points) -> str:
-    grid = len(points) - 1
-    lines = ["theta,re,im"]
-    for j, w in enumerate(points):
-        theta = 2.0 * math.pi * j / grid
-        lines.append(f"{theta:.12g},{float(w.real)!r},{float(w.imag)!r}")
-    return "\n".join(lines) + "\n"
+    """One row per point: the angle, then repr of the real and imaginary parts.
+
+    A list's repr is each float's shortest round-trip repr, made in one pass,
+    so the rows are those of formatting value by value, byte for byte.
+    """
+    xs, ys = (repr(col.tolist())[1:-1].split(", ") for col in (points.real, points.imag))
+    rows = "\n".join(map(",".join, zip(_angle_column(len(points) - 1), xs, ys)))
+    return f"theta,re,im\n{rows}\n"
 
 
 def boundary_svg(points) -> str:
     """Minimal SVG document: one path tracing the curve, 5% margin."""
-    xs = [w.real for w in points]
-    ys = [w.imag for w in points]
+    xs = points.real.tolist()
+    ys = points.imag.tolist()
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     view = (x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
-    steps = " ".join(f"L {x:.6g} {y:.6g}" for x, y in zip(xs[1:], ys[1:]))
+    steps = " ".join(map("L {:.6g} {:.6g}".format, xs[1:], ys[1:]))
     d = f"M {xs[0]:.6g} {ys[0]:.6g} {steps}"
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

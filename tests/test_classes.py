@@ -25,7 +25,7 @@ from diskmean import (
 )
 from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
 from diskmean.cli import _json_dump
-from diskmean.functionals import _KIND_WEIGHTS, grid_min
+from diskmean.functionals import _KIND_WEIGHTS, MARGIN_TOL, grid_min, scan_report, zero_count
 from diskmean.series import circle_angles
 
 U, P, M, N = (FunctionalKind.U, FunctionalKind.P,
@@ -499,14 +499,98 @@ def test_radius_two_z_squared():
     assert abs(r - 2 ** -0.5) <= 3 * tol
 
 
-def test_radius_consistency():
-    fn = from_phi(ComplexSeries([1, 0, 2]))
+#: Zero-free polynomial phis (every zero outside the closed disk) whose
+#: functional meets its bound inside the disk, or nowhere (the first and last)
+ZERO_FREE_RADIUS_CASES = [
+    (U, [1, 0.5, 0.4]),
+    (U, [1, 0, 0, 0.9]),
+    (P, [1, 0, 0, 0.9]),
+    (M, [1, 0, 0, 0.9]),
+    (N, [1, 0, 0, 0.9]),
+    (P, [1, 0.3, 0.5, 0.2j]),
+    (M, [1, 0.3, 0.5, 0.2j]),
+    (U, [1, -0.2, 0.4, 0, 0.3]),
+    (N, [1, 0.1, 0.2, 0.3, 0.15]),
+    (M, [1, 0.25, -0.3, 0.1, 0, 0, 0.12]),
+    (P, [1, 0.25, -0.3, 0.1, 0, 0, 0.12]),
+    (N, [1, -0.4, 0, 0.25j]),
+]
+POLE_RADIUS_CASES = [(M, [1, 3]), (U, [1, 1.05]), (M, [1, 0, 2])]
+
+
+def _bisection_radius(kind, f, tol, grid=2048):
+    # plain bisection on the same violation rule: the reference for the
+    # radius search's answers and its number of folds
+    import diskmean.classes
+
+    def scan(r):
+        theta, phis, values = diskmean.classes.phi_on_circle(
+            f, r, grid, weight=_KIND_WEIGHTS[kind])
+        return phis, scan_report(kind, r, theta, values).margin < -MARGIN_TOL
+
+    lo, hi = 1e-3, 1.0 - 1e-4
+    phis, over = scan(hi)
+    poles = zero_count(phis) > 0
+    if not (poles or over):
+        return 1.0
+
+    def violated(r):
+        phis, over = scan(r)
+        return over or (poles and zero_count(phis) > 0)
+
+    if violated(lo):
+        return lo
+    for _ in range(60):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if violated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def fold_count(monkeypatch):
+    import diskmean.classes
+    folds = [0]
+    phi_on_circle = diskmean.classes.phi_on_circle
+
+    def spy(*args, **kwargs):
+        folds[0] += 1
+        return phi_on_circle(*args, **kwargs)
+
+    monkeypatch.setattr(diskmean.classes, "phi_on_circle", spy)
+    return folds
+
+
+def test_zero_free_radius_cases_are_zero_free():
+    for _, phi in ZERO_FREE_RADIUS_CASES:
+        assert np.min(np.abs(np.roots(phi[::-1]))) > 1.0
+
+
+@pytest.mark.parametrize("kind, phi", ZERO_FREE_RADIUS_CASES + POLE_RADIUS_CASES)
+def test_radius_search_no_more_folds_than_bisection(kind, phi, fold_count):
+    fn = from_phi(ComplexSeries(phi))
     tol = 1e-5
-    r = class_radius(M, fn, tol=tol)
-    below = sup_on_circle(M, fn, r - 2 * tol, 2048)
-    above = sup_on_circle(M, fn, r + 2 * tol, 2048)
-    assert below.margin >= -1e-9
-    assert above.margin < -1e-9
+    expected = _bisection_radius(kind, fn, tol)
+    bisection_folds, fold_count[0] = fold_count[0], 0
+    r = class_radius(kind, fn, tol=tol)
+    assert fold_count[0] <= bisection_folds
+    assert abs(r - expected) <= 2 * tol
+
+
+def test_radius_consistency():
+    tol = 1e-5
+    for kind, phi in [(M, [1, 0, 2]), (P, [1, 0.3, 0.5, 0.2j]),
+                      (U, [1, -0.2, 0.4, 0, 0.3]), (N, [1, 0.1, 0.2, 0.3, 0.15])]:
+        fn = from_phi(ComplexSeries(phi))
+        r = class_radius(kind, fn, tol=tol)
+        below = sup_on_circle(kind, fn, r - 2 * tol, 2048)
+        above = sup_on_circle(kind, fn, r + 2 * tol, 2048)
+        assert below.margin >= -1e-9
+        assert above.margin < -1e-9
 
 
 @pytest.mark.parametrize("kind, phi, pole", [
@@ -520,9 +604,28 @@ def test_radius_stops_at_pole(kind, phi, pole):
     assert abs(class_radius(kind, from_phi(ComplexSeries(phi))) - pole) <= 1e-4
 
 
+@pytest.mark.parametrize("kind, phi, pole", [
+    (M, [1, 3], 1 / 3),
+    (M, [1, 0, 2], 2 ** -0.5),
+    (U, [1, 1.05], 1 / 1.05),
+], ids=["M-pole-third", "M-zeros-at-radius", "U-pole-0.952"])
+def test_radius_tight_tol_counts_vanishing_circle_as_violated(kind, phi, pole):
+    # probes come within 1e-9 of phi's zero, where phi_on_circle raises
+    # PhiVanishes: such a circle passes through the zero, so it is violated
+    r = class_radius(kind, from_phi(ComplexSeries(phi)), tol=1e-12)
+    assert abs(r - pole) <= 1e-8
+
+
+def test_radius_tiny_tol_converges(fold_count):
+    # the safeguard's midpoints keep the secant from stalling on one side
+    r = class_radius(M, from_phi(ComplexSeries([1, 0, 0, 0.9])), tol=1e-14)
+    assert abs(r - 3.6 ** (-1 / 3)) <= 1e-9
+    assert fold_count[0] <= 122
+
+
 def test_radius_counts_zeros_only_with_one_inside_upper_bracket(monkeypatch):
     # the zero count cannot fall as r grows: zero-free at r = 1 - 1e-4
-    # means the bisection steps never count
+    # means the search's probes never count
     import diskmean.classes
     counts = []
     zero_count = diskmean.classes.zero_count

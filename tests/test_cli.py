@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import diskmean.cli
+from diskmean import boundary_image
 from diskmean.cli import main
 
 
@@ -255,6 +258,53 @@ def test_boundary_svg(capsys, tmp_path):
     assert text.startswith("<?xml")
     assert text.count("<path") == 1
     assert "viewBox" in text
+
+
+def _boundary_csv_by_value(points) -> str:
+    # the emitter as it was, one f-string per value: the byte-for-byte reference
+    grid = len(points) - 1
+    lines = ["theta,re,im"]
+    for j, w in enumerate(points):
+        theta = 2.0 * math.pi * j / grid
+        lines.append(f"{theta:.12g},{float(w.real)!r},{float(w.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _boundary_svg_by_value(points) -> str:
+    xs = [w.real for w in points]
+    ys = [w.imag for w in points]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    view = (x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
+    steps = " ".join(f"L {x:.6g} {y:.6g}" for x, y in zip(xs[1:], ys[1:]))
+    d = f"M {xs[0]:.6g} {ys[0]:.6g} {steps}"
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{view[0]:.6g} {view[1]:.6g} {view[2]:.6g} {view[3]:.6g}">\n'
+        f'  <path d="{d}" fill="none" stroke="black" '
+        'stroke-width="0.5%" vector-effect="non-scaling-stroke"/>\n'
+        "</svg>\n"
+    )
+
+
+def _emitter_curves(grid):
+    # values whose repr and %g forms differ in kind: signed zero, the least
+    # subnormal, exponent forms on both sides, integer-valued floats
+    special = np.array([-0.0, 5e-324, 1e16, 1e-5, 0.0001, 3.0, -2.0, 1e22, 0.1, -7.5e-17])
+    n = np.arange(grid + 1)
+    yield special[n % special.size] + 1j * special[(3 * n + 1) % special.size]
+    for source in ("ex31:n=2", "ex34:n=3", "ex32:order=2048"):
+        fn = diskmean.cli.parse_source(source, diskmean.cli.RunConfig(), False)
+        yield boundary_image(fn, 0.999, grid)
+
+
+@pytest.mark.parametrize("grid", [16, 17, 2048])
+def test_boundary_emitters_byte_identical(grid):
+    for points in _emitter_curves(grid):
+        assert diskmean.cli.boundary_csv(points) == _boundary_csv_by_value(points)
+        assert diskmean.cli.boundary_svg(points) == _boundary_svg_by_value(points)
 
 
 # ---------------------------------------------------------------------------
