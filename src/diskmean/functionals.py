@@ -19,7 +19,11 @@ forms (the primary computation path):
 
 ``functional_eval_direct`` instead evaluates the defining expressions
 literally through series reciprocal/derivative/eval and serves as the
-independent cross-check of the coefficient forms.
+independent cross-check of the coefficient forms.  Its f = z/phi is built
+once per function and kept (:meth:`NormalizedFunction.f_series`): after
+the first literal evaluation of U, M or N, the function holds one more
+array, of N + 2 coefficients for phi of order N, and later ones skip the
+reciprocal.
 """
 
 from __future__ import annotations
@@ -84,9 +88,16 @@ _KIND_WEIGHTS = {
 
 
 class NormalizedFunction:
-    """Element of the normalized class, stored via its phi = z/f series."""
+    """Element of the normalized class, stored via its phi = z/f series.
 
-    __slots__ = ("phi", "label")
+    Immutable from outside.  The series of f itself is built on the first
+    call of :meth:`f_series` and kept in a private slot, so the function
+    then holds one more array of N + 2 coefficients.  Threads may share an
+    instance: two that both find the slot empty each build f, with equal
+    bits, and either result is kept.
+    """
+
+    __slots__ = ("phi", "label", "_f")
 
     def __init__(self, phi: ComplexSeries, label: str = "") -> None:
         if abs(phi.coeffs[0] - 1.0) > 1e-12:
@@ -95,6 +106,7 @@ class NormalizedFunction:
                 "(within 1e-12)")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_f", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("NormalizedFunction is immutable")
@@ -104,8 +116,17 @@ class NormalizedFunction:
         return f"NormalizedFunction(order={self.phi.order}{tag})"
 
     def f_series(self) -> ComplexSeries:
-        """f itself, recovered as z * reciprocal(phi) at phi's order."""
-        return self.phi.reciprocal().shift_up()
+        """f itself, z * reciprocal(phi), built on the first call and kept.
+
+        f_{k+1} = r_k depends on b_0..b_k alone, so f is exact to degree
+        N + 1 for phi of order N: the series holds 0, r_0, ..., r_N.  Every
+        call returns the same read-only series.
+        """
+        f = self._f
+        if f is None:
+            f = ComplexSeries._adopt(np.concatenate(([0.0], self.phi.reciprocal().coeffs)))
+            object.__setattr__(self, "_f", f)
+        return f
 
 
 def from_phi(phi: ComplexSeries, label: str = "") -> NormalizedFunction:
@@ -206,8 +227,10 @@ def functional_eval_direct(kind: FunctionalKind, f: NormalizedFunction, z):
 
     Goes through the series plumbing on purpose: f is reconstructed as
     z * reciprocal(phi), differentiated and evaluated, and the z/f powers
-    come from dividing z by the evaluated f.  Accepts a scalar or an array
-    of points.
+    come from dividing z by the evaluated f.  The first U, M or N
+    evaluation on ``f`` builds that series and ``f`` keeps it
+    (:meth:`NormalizedFunction.f_series`), so later ones skip the
+    reciprocal; P needs no f.  Accepts a scalar or an array of points.
 
     Raises:
         PhiVanishes: if |phi(z)| <= 1e-9 at any requested point.

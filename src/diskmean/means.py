@@ -80,22 +80,31 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
 def verify_closure(kind: FunctionalKind, f: NormalizedFunction,
                    g: NormalizedFunction, samples: int = 500,
                    seed: int = 0) -> float:
-    """Max residual of the averaging identity at random points.
-
-    Draws ``samples`` points uniformly from the disk of radius 0.95 and
-    returns max |kind_F(z) - (kind_f(z) + kind_g(z))/2| with every value
-    taken from the exact coefficient path.  The identity is linear-exact,
-    so anything above rounding level indicates an implementation error.
+    """Max residual of the averaging identity at random points:
+    :func:`averaging_residual` of the mean that :func:`harmonic_mean` builds.
 
     Raises:
         DenominatorVanishes: propagated from harmonic_mean.
     """
-    result = harmonic_mean(f, g)
+    return averaging_residual(kind, f, g, harmonic_mean(f, g).mean, samples, seed)
+
+
+def averaging_residual(kind: FunctionalKind, f: NormalizedFunction,
+                       g: NormalizedFunction, mean: NormalizedFunction,
+                       samples: int = 500, seed: int = 0) -> float:
+    """Max residual of the averaging identity for a mean already built.
+
+    Draws ``samples`` points uniformly from the disk of radius 0.95 and
+    returns max |kind_F(z) - (kind_f(z) + kind_g(z))/2|, F = ``mean``, with
+    every value taken from the exact coefficient path.  The identity is
+    linear-exact, so for F = harmonic_mean(f, g).mean anything above
+    rounding level indicates an implementation error.
+    """
     rng = np.random.default_rng(seed)
     r = 0.95 * np.sqrt(rng.random(samples))
     t = 2.0 * np.pi * rng.random(samples)
     pts = r * np.exp(1j * t)
     vf = functional_series(kind, f).eval(pts)
     vg = functional_series(kind, g).eval(pts)
-    vm = functional_series(kind, result.mean).eval(pts)
+    vm = functional_series(kind, mean).eval(pts)
     return float(np.max(np.abs(vm - 0.5 * (vf + vg))))

@@ -122,13 +122,6 @@ class ComplexSeries:
             return ComplexSeries._adopt(np.zeros(1, dtype=np.complex128))
         return ComplexSeries._adopt(c[1:] * np.arange(1, c.size))
 
-    def shift_up(self) -> "ComplexSeries":
-        """Multiply by z without extending the order (top coefficient drops)."""
-        c = np.empty_like(self.coeffs)
-        c[0] = 0.0
-        c[1:] = self.coeffs[:-1]
-        return ComplexSeries._adopt(c)
-
     def reciprocal(self) -> "ComplexSeries":
         """Multiplicative inverse, same order.
 

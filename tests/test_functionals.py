@@ -53,17 +53,41 @@ def test_bounds():
 def test_from_phi_identity():
     fn = from_phi(ComplexSeries.one(8))
     f = fn.f_series()
-    want = np.zeros(9, dtype=complex)
+    want = np.zeros(10, dtype=complex)
     want[1] = 1.0
     assert np.max(np.abs(f.coeffs - want)) <= 1e-15
 
 
 def test_from_phi_koebe_recovers_f():
     fn = koebe_function(16)
-    # f = z/(1-z)^2 = sum k z^k
+    # f = z/(1-z)^2 = sum k z^k, exact to degree 17 from phi of order 16
     f = fn.f_series()
-    want = np.arange(17, dtype=complex)
+    want = np.arange(18, dtype=complex)
     assert np.max(np.abs(f.coeffs - want)) <= 1e-12
+
+
+def test_f_series_is_built_once_and_kept():
+    fn = from_phi(ball_coefficients(np.random.default_rng(4), 100))
+    f = fn.f_series()
+    assert fn.f_series() is f
+    assert np.array_equal(f.coeffs, np.concatenate([[0], fn.phi.reciprocal().coeffs]))
+    assert not f.coeffs.flags.writeable
+
+
+def test_wrappers_of_one_phi_keep_their_own_f():
+    phi = ball_coefficients(np.random.default_rng(5), 40)
+    a, b = from_phi(phi), from_phi(phi)
+    fa, fb = a.f_series(), b.f_series()
+    assert fa is not fb
+    assert np.array_equal(fa.coeffs, fb.coeffs)
+
+
+def test_normalized_function_stays_immutable():
+    fn = identity_function(4)
+    fn.f_series()
+    for name in ("x", "_f", "phi"):
+        with pytest.raises(AttributeError):
+            setattr(fn, name, 1)
 
 
 def test_from_phi_matches_family_builder():
@@ -136,6 +160,31 @@ def test_direct_budget_family_M_at_half():
 def test_direct_koebe_U():
     fn = koebe_function()
     assert abs(functional_eval_direct(U, fn, 0.3j) - 0.09) <= 1e-12
+
+
+def test_direct_order_zero():
+    # f = z exactly: every functional is 0, with no division by zero
+    for fn in (identity_function(0), from_phi(ComplexSeries([1.0]))):
+        for kind in ALL_KINDS:
+            assert functional_eval_direct(kind, fn, 0.5) == 0
+
+
+def test_direct_takes_one_reciprocal_per_function(monkeypatch):
+    calls = []
+    reciprocal = ComplexSeries.reciprocal
+
+    def counted(self):
+        calls.append(self)
+        return reciprocal(self)
+
+    monkeypatch.setattr(ComplexSeries, "reciprocal", counted)
+    fn = from_phi(ball_coefficients(np.random.default_rng(6), 200))
+    pts = np.array([0.3, -0.5j, 0.2 + 0.6j])
+    functional_eval_direct(P, fn, pts)
+    assert calls == []
+    for kind in (U, M, N, U):
+        functional_eval_direct(kind, fn, pts)
+    assert calls == [fn.phi]
 
 
 def test_direct_phi_vanishes():

@@ -20,7 +20,7 @@ from diskmean import (
 )
 from diskmean.cli import main
 from diskmean.functionals import phi_on_circle, zero_count
-from diskmean.means import PROBE_GRID, PROBE_RADIUS
+from diskmean.means import PROBE_GRID, PROBE_RADIUS, averaging_residual
 
 U, M = FunctionalKind.U, FunctionalKind.M
 
@@ -171,6 +171,30 @@ def test_closure_residual_budget_pair():
     f = build(FamilySpec(FamilyVariant.EX31, n=1))
     g = build(FamilySpec(FamilyVariant.EX31, n=2))
     assert verify_closure(M, f, g) <= 1e-10
+
+
+def test_averaging_residual_matches_verify_closure():
+    f = build(FamilySpec(FamilyVariant.EX31, n=1))
+    g = build(FamilySpec(FamilyVariant.EX32, order=300))
+    mean = harmonic_mean(f, g).mean
+    for kind in FunctionalKind:
+        for seed in (0, 9):
+            assert (averaging_residual(kind, f, g, mean, 200, seed)
+                    == verify_closure(kind, f, g, 200, seed))
+
+
+def test_cli_mean_builds_the_mean_once(monkeypatch, capsys):
+    built = []
+
+    def counted(f, g):
+        built.append((f, g))
+        return harmonic_mean(f, g)
+
+    monkeypatch.setattr("diskmean.cli.harmonic_mean", counted)
+    monkeypatch.setattr("diskmean.means.harmonic_mean", counted)
+    assert main(["mean", "ex31:n=1", "ex31:n=2", "--class", "M"]) == 0
+    assert len(built) == 1
+    assert json.loads(capsys.readouterr().out)["averaging_residual"] <= 1e-10
 
 
 def test_closure_U_pair_and_membership():
