@@ -166,8 +166,10 @@ def class_radius(kind: FunctionalKind, f: NormalizedFunction,
     Returns 1.0 when no violation is found up to r = 1 - 1e-4; returns the
     bracket floor if the functional already violates the bound there.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
     lo, hi = 1e-3, 1.0 - 1e-4
     poles = False
 

@@ -71,9 +71,11 @@ BOUNDARY_GRID = 2048
 _ENV_FLAGS = {"DISKMEAN_ORDER": "--order", "DISKMEAN_GRID": "--grid",
              "DISKMEAN_RADII": "--radii"}
 
-#: The keys of each family source: the FamilySpec fields its variant reads.
+#: The keys of each family source: the FamilySpec fields its variant reads,
+#: and the type each value converts to.
 _FAMILY_KEYS = {"ex31": {"n", "order"}, "ex32": {"order"},
                 "ex33": {"n", "b", "beta", "order"}, "ex34": {"n", "order"}}
+_FAMILY_TYPES = {"n": int, "b": float, "beta": float, "order": int}
 
 
 class SourceError(DiskMeanError):
@@ -97,8 +99,10 @@ class RunConfig:
             raise ValueError("radii must lie in (0, 1)")
         if self.grid < 16:
             raise ValueError("grid must be >= 16")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError("tol must be > 0")
+        if self.tol == math.inf:
+            raise ValueError("tol must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +157,12 @@ def parse_source(text: str, config: RunConfig,
     if head in _FAMILY_KEYS:
         kv = _parse_kv(body, _FAMILY_KEYS[head])
         try:
-            n = int(kv.get("n", "1"))
-            b = float(kv.get("b", "0"))
-            beta = float(kv.get("beta", "0"))
-            order = int(kv["order"]) if "order" in kv else (
-                config.order if order_explicit else None)
+            params = {key: _FAMILY_TYPES[key](val) for key, val in kv.items()}
         except ValueError as exc:
             raise SourceError(f"bad family parameter in {text!r}") from exc
-        return build(FamilySpec(FamilyVariant(head), n=n, b=b, beta=beta, order=order))
+        if order_explicit:
+            params.setdefault("order", config.order)
+        return build(FamilySpec(FamilyVariant(head), **params))
 
     raise SourceError(f"unrecognized function source {text!r}")
 

@@ -4,7 +4,7 @@ Four one-parameter families exercise the class machinery (grammar tokens in
 parentheses match the CLI):
 
 * ``ex31`` -- phi = 1 + (1-a) z + a z^m with m = 2n+1 and a (m-1)^2 = 1.
-  Sits exactly on the M-class coefficient budget and is starlike.
+  Sits on the M-class coefficient budget and is starlike.
 * ``ex32`` -- phi = 1 + (1 - zeta(5)/zeta(3)) z
   + (1/zeta(3)) sum_{k>=2} z^k/(k-1)^5.  M-class member with slowly
   decaying coefficients; its tail admits an integral representation used
@@ -12,9 +12,15 @@ parentheses match the CLI):
 * ``ex33`` -- phi = 1 + i b z + e^{2 i beta} z^n/(n-1), n >= 3,
   |b| <= (n-2)/(n-1).  U-class member whose functional has modulus |z|^n
   exactly; fails starlikeness for suitable (b, beta).
-* ``ex34`` -- phi = 1 + (1-a) z + a z^m with a m (m-1) = 2.  Sits exactly
-  on the P-class coefficient budget and is *not* starlike: the boundary
+* ``ex34`` -- phi = 1 + (1-a) z + a z^m with a m (m-1) = 2.  Sits on the
+  P-class coefficient budget and is *not* starlike: the boundary
   quantity A(theta) dips negative near theta = pi.
+
+Each budget is read from the class's weight and bound: a is the bound over
+the weight of z^m, nudged one ulp up where that puts the weighted sum
+exactly on the budget.  For some n no double does (ex34 at n = 11, 29, 42,
+63, ..., ex31 at n = 61, 89, 122, ...); the sum is then one ulp below the
+budget, never above, so the coefficient criterion still reports a member.
 
 For the two polynomial families, writing z = e^{i theta},
 
@@ -36,6 +42,7 @@ import numpy as np
 
 from .errors import InvalidFamilyParams
 from .functionals import (
+    _KIND_WEIGHTS,
     FunctionalKind,
     NormalizedFunction,
     functional_eval_direct,
@@ -70,59 +77,49 @@ class FamilySpec:
     beta: float = 0.0
     order: int | None = None
 
+    @property
+    def _top(self) -> int:
+        # degree of the highest term: z^m, m = 2n+1, for ex31/ex34, z^n for
+        # ex33; ex32's first tail term, z^2, is the least it can hold
+        v = self.variant
+        if v is FamilyVariant.EX32:
+            return 2
+        return self.n if v is FamilyVariant.EX33 else 2 * self.n + 1
+
     def validate(self) -> None:
         v = self.variant
-        if v in (FamilyVariant.EX31, FamilyVariant.EX34):
-            if self.n < 1:
-                raise InvalidFamilyParams(f"{v.value} requires n >= 1")
-            if self.order is not None and self.order < 2 * self.n + 1:
-                raise InvalidFamilyParams(
-                    f"{v.value} needs order >= {2 * self.n + 1} to hold z^m")
-        elif v is FamilyVariant.EX33:
+        if v in _BUDGET_KIND and self.n < 1:
+            raise InvalidFamilyParams(f"{v.value} requires n >= 1")
+        if v is FamilyVariant.EX33:
             if self.n < 3:
                 raise InvalidFamilyParams("ex33 requires n >= 3")
             if abs(self.b) > (self.n - 2) / (self.n - 1) + 1e-12:
                 raise InvalidFamilyParams(
                     f"ex33 requires |b| <= (n-2)/(n-1) = {(self.n - 2) / (self.n - 1)}")
-            if self.order is not None and self.order < self.n:
-                raise InvalidFamilyParams("ex33 needs order >= n")
-        else:  # EX32
-            if self.order is not None and self.order < 2:
-                raise InvalidFamilyParams("ex32 needs order >= 2")
-
-    def effective_order(self) -> int:
-        if self.order is not None:
-            return self.order
-        if self.variant is FamilyVariant.EX32:
-            return EX32_ORDER
-        if self.variant is FamilyVariant.EX33:
-            return max(DEFAULT_ORDER, self.n)
-        return max(DEFAULT_ORDER, 2 * self.n + 1)
+        if self.order is not None and self.order < self._top:
+            raise InvalidFamilyParams(f"{v.value} needs order >= {self._top}")
 
 
-def _alpha(variant: FamilyVariant, n: int) -> float:
-    if variant is FamilyVariant.EX31:
-        return 1.0 / (4 * n * n)
-    if variant is FamilyVariant.EX34:
-        return 1.0 / (n * (2 * n + 1))
-    raise InvalidFamilyParams(f"{variant.value} has no alpha parameter")
+#: The class whose coefficient budget the one z^m term of ex31 / ex34 uses up.
+_BUDGET_KIND = {FamilyVariant.EX31: FunctionalKind.M, FamilyVariant.EX34: FunctionalKind.P}
+
+
+def _alpha(variant: FamilyVariant, n):
+    # the z^m coefficient that spends the whole budget: |w(m)| a = bound; n may be an array
+    kind = _BUDGET_KIND.get(variant)
+    if kind is None:
+        raise InvalidFamilyParams(f"{variant.value} has no alpha parameter")
+    return kind.bound / abs(_KIND_WEIGHTS[kind](2 * n + 1))
 
 
 def _budget_exact(alpha: float, weight: float, target: float) -> float:
-    # alpha is irrational in binary for most n; pick the representable
-    # neighbour (within a few ulps) whose weighted product rounds exactly
-    # to the class budget, so the defining normalization survives floats.
-    cand = alpha
-    for _ in range(6):
-        if weight * cand == target:
-            return cand
-        cand = np.nextafter(cand, 2.0 * alpha)
-    cand = alpha
-    for _ in range(6):
-        if weight * cand == target:
-            return cand
-        cand = np.nextafter(cand, 0.0)
-    return alpha
+    # alpha = fl(t/w) never overshoots: w*alpha = t(1+d), |d| <= u, rounds to at most t;
+    # one ulp up adds more than u, so it rounds to t or past it.  Where neither hits
+    # t, no double does, and w*alpha rounds to t's predecessor: one ulp under budget.
+    if weight * alpha == target:
+        return alpha
+    up = math.nextafter(alpha, math.inf)
+    return up if weight * up == target else alpha
 
 
 def build(spec: FamilySpec) -> NormalizedFunction:
@@ -132,24 +129,20 @@ def build(spec: FamilySpec) -> NormalizedFunction:
         InvalidFamilyParams: if the spec violates its parameter ranges.
     """
     spec.validate()
-    order = spec.effective_order()
-    v = spec.variant
+    v, n, top = spec.variant, spec.n, spec._top
+    order = spec.order if spec.order is not None else (
+        EX32_ORDER if v is FamilyVariant.EX32 else max(DEFAULT_ORDER, top))
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = 1.0
-    if v in (FamilyVariant.EX31, FamilyVariant.EX34):
-        n = spec.n
-        m = 2 * n + 1
-        if v is FamilyVariant.EX31:
-            a = _budget_exact(_alpha(v, n), float((m - 1) ** 2), 1.0)
-        else:
-            a = _budget_exact(_alpha(v, n), float(m * (m - 1)), 2.0)
+    if v in _BUDGET_KIND:
+        kind = _BUDGET_KIND[v]
+        a = _budget_exact(_alpha(v, n), _KIND_WEIGHTS[kind](top), kind.bound)
         c[1] = 1.0 - a
-        c[m] = a
+        c[top] = a
         label = f"{v.value}:n={n}"
     elif v is FamilyVariant.EX33:
-        n = spec.n
         c[1] = 1j * spec.b
-        c[n] = np.exp(2j * spec.beta) / (n - 1)
+        c[top] = np.exp(2j * spec.beta) / (n - 1)
         label = f"ex33:n={n},b={spec.b},beta={spec.beta}"
     else:
         z3 = zeta_constant(3)
@@ -219,17 +212,13 @@ def a_theta_reduced(variant: FamilyVariant, n: int, theta):
     ex31:  A = 1 - 1/(m-1)^3 - (m(m-2)/(m-1)^2) D(theta)
     ex34:  A = 1 - 2/(n(2n+1)^2) + ((2n-1)/(n(2n+1))) D(theta)
     """
-    if n < 1:
-        raise InvalidFamilyParams("n must be >= 1")
+    d = d_theta(variant, n, theta)  # rejects n < 1 and ex32 / ex33
     m = 2 * n + 1
-    d = d_theta(variant, n, theta)
     if variant is FamilyVariant.EX31:
         out = 1.0 - 1.0 / (m - 1) ** 3 - (m * (m - 2) / (m - 1) ** 2) * d
-    elif variant is FamilyVariant.EX34:
+    else:
         out = (1.0 - 2.0 / (n * (2 * n + 1) ** 2)
                + ((2 * n - 1) / (n * (2 * n + 1))) * d)
-    else:
-        raise InvalidFamilyParams(f"{variant.value} has no A(theta) form")
     return float(out) if np.isscalar(theta) else out
 
 

@@ -239,7 +239,7 @@ def functional_eval_direct(kind: FunctionalKind, f: NormalizedFunction, z):
     pts = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     phi = f.phi
     phiv = phi.eval(pts)
-    if np.min(np.abs(phiv)) <= PHI_EPS:
+    if np.any(np.abs(phiv) <= PHI_EPS):
         raise PhiVanishes("phi(z) is numerically zero at a requested point")
 
     if kind is FunctionalKind.P:

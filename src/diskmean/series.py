@@ -1,10 +1,13 @@
 """Truncated power series with complex coefficients.
 
 A :class:`ComplexSeries` holds coefficients c_0..c_N of a polynomial that
-stands in for a Taylor series truncated at degree N.  No operation extends
-the truncation degree: :meth:`ComplexSeries.mul`, the one product, returns
-a series of order ``min(a.order, b.order)``, so the caller picks the error
-budget once, up front, by choosing N.
+stands in for a Taylor series truncated at degree N; the caller picks the
+error budget up front by choosing N.  Each result keeps the degree it is
+exact to: the reciprocal keeps N, the derivative drops one, and f = z/phi
+(``NormalizedFunction.f_series``) holds N + 2 coefficients, since its
+z^(N+1) term needs only c_0..c_N.  :meth:`ComplexSeries.mul` truncates at
+the smaller order; the package never calls it, and it stays only as the
+layer the benchmark's tracer times.
 
 Values are immutable after construction and every operation is a pure
 function, so instances can be shared freely between threads.

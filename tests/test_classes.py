@@ -492,6 +492,13 @@ def test_radius_tol_must_be_positive(tol):
         class_radius(U, identity_function(16), tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_radius_tol_must_be_a_finite_number(tol):
+    # NaN passes a tol <= 0 test, and inf would stop at the first midpoint
+    with pytest.raises(ValueError, match="tol"):
+        class_radius(M, from_phi(ComplexSeries([1, 0, 2])), tol=tol)
+
+
 def test_radius_two_z_squared():
     fn = from_phi(ComplexSeries([1, 0, 2]))
     tol = 1e-5

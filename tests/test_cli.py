@@ -438,7 +438,9 @@ def test_invalid_config_exit_one(capsys):
     ("--order", "4", "order must be >= 8"),
     ("--grid", "8", "grid must be >= 16"),
     ("--tol", "0", "tol must be > 0"),
-], ids=["order", "grid", "tol"])
+    ("--tol", "nan", "tol must be > 0"),
+    ("--tol", "inf", "tol must be finite"),
+], ids=["order", "grid", "tol", "tol-nan", "tol-inf"])
 def test_invalid_setting_exit_one(capsys, flag, value, reason):
     code, out, err = run(capsys, flag, value, "check", "--class", "M", "identity")
     assert code == 1

@@ -13,6 +13,7 @@ from diskmean import (
     a_theta_reduced,
     boundary_image,
     build,
+    coefficient_criterion,
     critical_points,
     d_prime_theta,
     d_theta,
@@ -28,6 +29,9 @@ from diskmean import (
     table1_angle,
     zeta_constant,
 )
+
+from diskmean.families import EX32_ORDER, _alpha
+from diskmean.series import DEFAULT_ORDER
 
 EX31, EX32, EX33, EX34 = (FamilyVariant.EX31, FamilyVariant.EX32,
                           FamilyVariant.EX33, FamilyVariant.EX34)
@@ -94,6 +98,92 @@ def test_build_ex33():
 def test_build_rejects_bad_params(spec):
     with pytest.raises(InvalidFamilyParams):
         build(spec)
+
+
+# The rules build and validate had while each family's top degree and budget
+# were written out per variant: the reference for the sweeps below.
+
+def _reference_alpha(variant, n):
+    return 1.0 / (4 * n * n) if variant is EX31 else 1.0 / (n * (2 * n + 1))
+
+
+def _reference_budget_exact(alpha, weight, target):
+    # the old search: six ulps up from alpha, then six down
+    for direction in (2.0 * alpha, 0.0):
+        cand = alpha
+        for _ in range(6):
+            if weight * cand == target:
+                return cand
+            cand = np.nextafter(cand, direction)
+    return alpha
+
+
+def _reference_order(spec):
+    # the order build uses, or None where validate refuses the spec
+    v, n, order = spec.variant, spec.n, spec.order
+    if v in (EX31, EX34):
+        if n < 1 or (order is not None and order < 2 * n + 1):
+            return None
+        return max(DEFAULT_ORDER, 2 * n + 1) if order is None else order
+    if v is EX33:
+        if n < 3 or abs(spec.b) > (n - 2) / (n - 1) + 1e-12 or (
+                order is not None and order < n):
+            return None
+        return max(DEFAULT_ORDER, n) if order is None else order
+    if order is not None and order < 2:
+        return None
+    return EX32_ORDER if order is None else order
+
+
+def test_budget_families_match_reference_search():
+    # n = 1..2000: every ex31 / ex34 array is the old one bit for bit, and
+    # the coefficient criterion is the budget exactly when the search found
+    # an alpha, else the budget's predecessor, never above it
+    misses = {EX31: [], EX34: []}
+    for v, kind, weight in ((EX31, FunctionalKind.M, lambda m: (m - 1) ** 2),
+                            (EX34, FunctionalKind.P, lambda m: m * (m - 1))):
+        bound = kind.bound
+        for n in range(1, 2001):
+            m = 2 * n + 1
+            w = float(weight(m))
+            a = _reference_budget_exact(_reference_alpha(v, n), w, bound)
+            want = np.zeros(max(DEFAULT_ORDER, m) + 1, dtype=np.complex128)
+            want[0], want[1], want[m] = 1.0, 1.0 - a, a
+            fn = build(FamilySpec(v, n=n))
+            assert np.array_equal(fn.phi.coeffs, want), (v, n)
+            total = coefficient_criterion(kind, fn)
+            if w * a == bound:
+                assert total == bound, (v, n)
+            else:
+                misses[v].append(n)
+                assert total == math.nextafter(bound, 0.0), (v, n)
+    assert misses[EX34][:4] == [11, 29, 42, 63]
+    assert misses[EX31][:3] == [61, 89, 122]
+
+
+def test_alpha_array_form_matches_reference():
+    n = np.arange(1, 500)
+    for v in (EX31, EX34):
+        got = _alpha(v, n)
+        assert np.array_equal(got, [_reference_alpha(v, int(k)) for k in n])
+        assert all(_alpha(v, int(k)) == g for k, g in zip(n, got))
+
+
+def test_validate_and_default_order_match_reference():
+    orders = (None, -1, 0, 1, 2, 3, 5, 59, 200)
+    for v in FamilyVariant:
+        for n in range(-2, 60):
+            for order in orders:
+                spec = FamilySpec(v, n=n, b=0.25, order=order)
+                want = _reference_order(spec)
+                if want is None:
+                    with pytest.raises(InvalidFamilyParams):
+                        spec.validate()
+                elif v is EX32 and order is None:
+                    spec.validate()  # 10^6 coefficients: order checked apart
+                else:
+                    assert build(spec).phi.order == want, (v, n, order)
+    assert build(FamilySpec(EX32, order=None)).phi.order == EX32_ORDER
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ def test_direct_takes_one_reciprocal_per_function(monkeypatch):
     assert calls == [fn.phi]
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_direct_empty_points(kind):
+    # no points: no vanishing test to fail, the same empty answer as the series
+    fn = from_phi(ball_coefficients(np.random.default_rng(7), 40))
+    pts = np.empty(0, dtype=np.complex128)
+    out = functional_eval_direct(kind, fn, pts)
+    assert out.shape == (0,)
+    assert np.array_equal(out, functional_series(kind, fn).eval(pts))
+
+
 def test_direct_phi_vanishes():
     fn = from_phi(ComplexSeries([1, -1, 0, 0]))
     with pytest.raises(PhiVanishes):
