@@ -17,8 +17,9 @@ Function sources: ``identity``, ``koebe``, ``ex31:n=K``, ``ex32``,
 z/f series from the constant term up; the constant must be 1.  Complex
 literals are written ``a+bi``.
 
-Exit codes: 0 success/member, 1 parse or evaluation error, 2 numeric
-membership failure, 3 harmonic-mean denominator zero on or inside |z| = 0.999.
+Exit codes, all chosen in ``main``: 0 success/member, 1 parse or evaluation
+error, 2 numeric membership failure, 3 harmonic-mean denominator zero on or
+inside |z| = 0.999.
 """
 
 from __future__ import annotations
@@ -178,14 +179,6 @@ def _parse_kind(name: str) -> FunctionalKind:
 # emitters
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _plain(o):
     """What json cannot encode itself: an enum member by its value, a
     dataclass instance as its fields in order (json recurses into them)."""
@@ -245,76 +238,53 @@ def boundary_svg(points) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes its parsed sources, then its class if it has --class,
+# and returns its output text and exit code; main parses, writes and maps errors
 # ---------------------------------------------------------------------------
 
-def cmd_check(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, hasattr(args, "order"))
-    kind = _parse_kind(args.klass)
+def cmd_check(args, config: RunConfig, fn, kind) -> tuple[str, int]:
     report = check_membership(kind, fn, config.radii, config.grid)
-    _emit(_json_dump(report), args.output)
-    return 0 if report.is_member else 2
+    return _json_dump(report), 0 if report.is_member else 2
 
 
-def cmd_mean(args, config: RunConfig) -> int:
-    f = parse_source(args.f_source, config, hasattr(args, "order"))
-    g = parse_source(args.g_source, config, hasattr(args, "order"))
-    kind = _parse_kind(args.klass)
-    try:
-        result = harmonic_mean(f, g)
-    except DenominatorVanishes as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+def cmd_mean(args, config: RunConfig, f, g, kind) -> tuple[str, int]:
+    result = harmonic_mean(f, g)
     residual = averaging_residual(kind, f, g, result.mean, samples=500, seed=config.seed)
     membership = check_membership(kind, result.mean, config.radii, config.grid)
     c = result.mean.phi.coeffs
-    _emit(_json_dump({
+    return _json_dump({
         "phi_coefficients": np.column_stack([c.real, c.imag]).tolist(),
         "min_denominator_modulus": result.min_denominator_modulus,
         "averaging_residual": residual,
         "membership": membership,
-    }), args.output)
-    return 0 if membership.is_member else 2
+    }), 0 if membership.is_member else 2
 
 
-def cmd_table1(args, config: RunConfig) -> int:
+def cmd_table1(args, config: RunConfig) -> tuple[str, int]:
     rows = table1(args.n_from, args.n_to)
     if args.extend is not None:
         if args.extend <= args.n_to:
             raise ValueError(f"--extend {args.extend} must exceed --to {args.n_to}")
         rows += extend_table1(args.n_to + 1, args.extend)
     if args.format == "json":
-        payload = [{"n": n, "theta": t, "A_theta": v} for n, t, v in rows]
-        _emit(_json_dump(payload), args.output)
-    else:
-        _emit(table_csv(rows), args.output)
-    return 0
+        return _json_dump([{"n": n, "theta": t, "A_theta": v} for n, t, v in rows]), 0
+    return table_csv(rows), 0
 
 
-def cmd_starlike(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, hasattr(args, "order"))
+def cmd_starlike(args, config: RunConfig, fn) -> tuple[str, int]:
     report = starlike_scan(fn, config.radii if args.all_radii else (max(config.radii),),
                            config.grid)
-    _emit(_json_dump(report), args.output)
-    return 0
+    return _json_dump(report), 0
 
 
-def cmd_radius(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, hasattr(args, "order"))
-    kind = _parse_kind(args.klass)
+def cmd_radius(args, config: RunConfig, fn, kind) -> tuple[str, int]:
     value = class_radius(kind, fn, tol=config.tol, grid=config.grid)
-    _emit(_json_dump({"kind": kind, "class_radius": value}), args.output)
-    return 0
+    return _json_dump({"kind": kind, "class_radius": value}), 0
 
 
-def cmd_boundary(args, config: RunConfig) -> int:
-    fn = parse_source(args.source, config, hasattr(args, "order"))
+def cmd_boundary(args, config: RunConfig, fn) -> tuple[str, int]:
     points = boundary_image(fn, args.radius, config.grid)
-    if args.format == "svg":
-        _emit(boundary_svg(points), args.output)
-    else:
-        _emit(boundary_csv(points), args.output)
-    return 0
+    return (boundary_svg if args.format == "svg" else boundary_csv)(points), 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +324,22 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_parser(name, func, **kw):
+    def add_parser(name, func, *sources, klass=False, **kw):
+        # the positional sources main parses, and --class if the command reads one
         sp = sub.add_parser(name, parents=[common], **kw)
         sp.add_argument("-o", "--output", default=None,
                         help="write to this file instead of stdout")
-        sp.set_defaults(func=func)
+        for source in sources:
+            sp.add_argument(source)
+        if klass:
+            sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
+        sp.set_defaults(func=func, sources=sources)
         return sp
 
-    sp = add_parser("check", cmd_check, help="class membership of one function")
-    sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
-    sp.add_argument("source")
-
-    sp = add_parser("mean", cmd_mean, help="harmonic mean, averaging residual, membership")
-    sp.add_argument("f_source")
-    sp.add_argument("g_source")
-    sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
+    add_parser("check", cmd_check, "source", klass=True,
+               help="class membership of one function")
+    add_parser("mean", cmd_mean, "f_source", "g_source", klass=True,
+               help="harmonic mean, averaging residual, membership")
 
     sp = add_parser("table1", cmd_table1, help="reference A(theta_n) table for ex34")
     sp.add_argument("--from", dest="n_from", type=int, default=1)
@@ -377,17 +348,14 @@ def _build_parser() -> _Parser:
                     help="append golden-section rows from --to + 1 up to this n")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = add_parser("starlike", cmd_starlike, help="min Re(zf'/f) scan")
-    sp.add_argument("source")
+    sp = add_parser("starlike", cmd_starlike, "source", help="min Re(zf'/f) scan")
     sp.add_argument("--all-radii", action="store_true",
                     help="scan the whole radius ladder, not just the largest")
 
-    sp = add_parser("radius", cmd_radius, help="largest radius of class membership")
-    sp.add_argument("source")
-    sp.add_argument("--class", dest="klass", required=True, help="U, P, M or N")
+    add_parser("radius", cmd_radius, "source", klass=True,
+               help="largest radius of class membership")
 
-    sp = add_parser("boundary", cmd_boundary, help="image of a circle under f")
-    sp.add_argument("source")
+    sp = add_parser("boundary", cmd_boundary, "source", help="image of a circle under f")
     sp.add_argument("-r", "--radius", type=float, default=0.999)
     sp.add_argument("--format", choices=("csv", "svg"), default="csv")
 
@@ -420,10 +388,23 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args, config)
+        explicit = hasattr(args, "order")
+        inputs = [parse_source(getattr(args, name), config, explicit) for name in args.sources]
+        if hasattr(args, "klass"):
+            inputs.append(_parse_kind(args.klass))
+        text, code = args.func(args, config, *inputs)
+    except DenominatorVanishes as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (DiskMeanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -34,6 +34,7 @@ theta_n = 2(2n+1) pi / (4n+3).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -88,6 +89,10 @@ class FamilySpec:
 
     def validate(self) -> None:
         v = self.variant
+        if not isinstance(self.n, numbers.Integral):
+            raise InvalidFamilyParams(f"{v.value} requires an integer n, got {self.n!r}")
+        if not (math.isfinite(self.b) and math.isfinite(self.beta)):
+            raise InvalidFamilyParams(f"{v.value} requires finite b and beta")
         if v in _BUDGET_KIND and self.n < 1:
             raise InvalidFamilyParams(f"{v.value} requires n >= 1")
         if v is FamilyVariant.EX33:
@@ -193,8 +198,7 @@ def a_theta(variant: FamilyVariant, n: int, theta):
 
     Accepts a scalar or an array of angles.
     """
-    if n < 1:
-        raise InvalidFamilyParams("n must be >= 1")
+    FamilySpec(variant, n=n).validate()
     out = _a_form(_alpha(variant, n), 2 * n + 1, np.asarray(theta, dtype=np.float64))
     return float(out) if np.isscalar(theta) else out
 
@@ -212,7 +216,7 @@ def a_theta_reduced(variant: FamilyVariant, n: int, theta):
     ex31:  A = 1 - 1/(m-1)^3 - (m(m-2)/(m-1)^2) D(theta)
     ex34:  A = 1 - 2/(n(2n+1)^2) + ((2n-1)/(n(2n+1))) D(theta)
     """
-    d = d_theta(variant, n, theta)  # rejects n < 1 and ex32 / ex33
+    d = d_theta(variant, n, theta)  # validates n, rejects ex32 / ex33
     m = 2 * n + 1
     if variant is FamilyVariant.EX31:
         out = 1.0 - 1.0 / (m - 1) ** 3 - (m * (m - 2) / (m - 1) ** 2) * d
@@ -236,8 +240,7 @@ def d_theta(variant: FamilyVariant, n: int, theta):
     ex31:  D = -cos t + cos(mt)/m + cos((m-1)t)/(m-1)
     ex34:  D = (n+1) cos t - cos((2n+1)t) - (2(n+1)/(2n+1)) cos(2nt)
     """
-    if n < 1:
-        raise InvalidFamilyParams("n must be >= 1")
+    FamilySpec(variant, n=n).validate()
     m = 2 * n + 1
     t = np.asarray(theta, dtype=np.float64)
     if variant is FamilyVariant.EX31:
@@ -259,8 +262,7 @@ def d_prime_theta(n: int, theta):
     The leading sign of the product form was pinned by validating against
     central finite differences of d_theta; see the tests.
     """
-    if n < 1:
-        raise InvalidFamilyParams("n must be >= 1")
+    FamilySpec(FamilyVariant.EX31, n=n).validate()
     m = 2 * n + 1
     t = np.asarray(theta, dtype=np.float64)
     out = -4.0 * np.cos(t / 2.0) * np.cos(m * t / 2.0) * np.sin(n * t)

@@ -136,11 +136,15 @@ def from_phi(phi: ComplexSeries, label: str = "") -> NormalizedFunction:
 
 def identity_function(order: int = DEFAULT_ORDER) -> NormalizedFunction:
     """f(z) = z, i.e. phi identically 1."""
+    if order < 0:
+        raise ValueError("identity needs order >= 0")
     return NormalizedFunction(ComplexSeries.one(order), "identity")
 
 
 def koebe_function(order: int = DEFAULT_ORDER) -> NormalizedFunction:
     """f(z) = z/(1-z)^2, i.e. phi = (1 - z)^2."""
+    if order < 2:
+        raise ValueError("koebe needs order >= 2")
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0], c[1], c[2] = 1.0, -2.0, 1.0
     return NormalizedFunction(ComplexSeries._adopt(c), "koebe")

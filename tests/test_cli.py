@@ -448,6 +448,34 @@ def test_invalid_setting_exit_one(capsys, flag, value, reason):
     assert err == f"error: {reason}\n"
 
 
+@pytest.mark.parametrize("argv, positionals", [
+    ([], ["{check,mean,table1,starlike,radius,boundary}"]),
+    (["check"], ["source"]),
+    (["mean"], ["f_source", "g_source"]),
+    (["table1"], []),
+    (["starlike"], ["source"]),
+    (["radius"], ["source"]),
+    (["boundary"], ["source"]),
+], ids=["diskmean", "check", "mean", "table1", "starlike", "radius", "boundary"])
+def test_help_names_positionals(capsys, argv, positionals):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    usage, listed = out.split("\n\n", 1)
+    assert usage.startswith(" ".join(["usage: diskmean", *argv]))
+    lines = [line.strip() for line in listed.splitlines()]
+    assert all(name in usage.split() and name in lines for name in positionals)
+    assert ("positional arguments:" in lines) == bool(positionals)
+
+
+def test_ex33_non_finite_exit_one_one_line(capsys):
+    code, out, err = run(capsys, "check", "--class", "U", "ex33:n=3,beta=inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_no_command_exit_one(capsys):
     code, out, err = run(capsys)
     assert code == 1

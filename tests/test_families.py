@@ -100,6 +100,35 @@ def test_build_rejects_bad_params(spec):
         build(spec)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build(FamilySpec(EX31, n=2.5)),
+    lambda: build(FamilySpec(EX34, n=2.5)),
+    lambda: a_theta(EX34, 2.5, 1.0),
+    lambda: d_theta(EX31, 2.5, 1.0),
+    lambda: d_prime_theta(2.5, 1.0),
+], ids=["build-ex31", "build-ex34", "a_theta", "d_theta", "d_prime_theta"])
+def test_non_integer_n_rejected(call):
+    with pytest.raises(InvalidFamilyParams, match="integer n"):
+        call()
+
+
+def test_numpy_integer_n_accepted():
+    n = np.int64(2)
+    assert np.array_equal(build(FamilySpec(EX31, n=n)).phi.coeffs,
+                          build(FamilySpec(EX31, n=2)).phi.coeffs)
+    assert a_theta(EX34, n, 1.0) == a_theta(EX34, 2, 1.0)
+
+
+@pytest.mark.parametrize("params", [
+    {"b": math.nan}, {"b": math.inf}, {"beta": math.inf}, {"beta": math.nan},
+], ids=["b-nan", "b-inf", "beta-inf", "beta-nan"])
+def test_ex33_non_finite_rejected_without_warning(params):
+    # pyproject turns a RuntimeWarning into a failure: the spec must be refused
+    # before numpy computes with the non-finite value
+    with pytest.raises(InvalidFamilyParams, match="finite"):
+        build(FamilySpec(EX33, n=3, **params))
+
+
 # The rules build and validate had while each family's top degree and budget
 # were written out per variant: the reference for the sweeps below.
 

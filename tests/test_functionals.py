@@ -488,3 +488,9 @@ def _bounded_n_sum(rng, order):
     c[0] = 1.0
     c[1:] = b
     return ComplexSeries(c)
+
+
+@pytest.mark.parametrize("make, order", [(koebe_function, 1), (identity_function, -1)])
+def test_constructors_refuse_orders_they_cannot_hold(make, order):
+    with pytest.raises(ValueError, match="needs order"):
+        make(order)
