@@ -383,23 +383,24 @@ def main(argv=None) -> int:
     try:
         config = _config_from(args)
         if getattr(args, "show_config", False):
-            sys.stdout.write(_json_dump(config))
-            return 0
-        if not getattr(args, "command", None):
+            text, code = _json_dump(config), 0
+        elif not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        explicit = hasattr(args, "order")
-        inputs = [parse_source(getattr(args, name), config, explicit) for name in args.sources]
-        if hasattr(args, "klass"):
-            inputs.append(_parse_kind(args.klass))
-        text, code = args.func(args, config, *inputs)
+        else:
+            explicit = hasattr(args, "order")
+            inputs = [parse_source(getattr(args, name), config, explicit)
+                      for name in args.sources]
+            if hasattr(args, "klass"):
+                inputs.append(_parse_kind(args.klass))
+            text, code = args.func(args, config, *inputs)
     except DenominatorVanishes as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (DiskMeanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
+    if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

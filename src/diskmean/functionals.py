@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import NotNormalized, PhiVanishes
 from .series import (
+    _WEIGHT_DEGREE,
     DEFAULT_ORDER,
     ComplexSeries,
     _binomial_moments,
@@ -186,10 +187,11 @@ def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
     partial last row are summed term by term.  The full rows between go
     through moments: with d_i(m) the step-G forward differences of the
     signed weight, w(m + qG) = sum_i d_i(m) binom(q, i), so products of
-    the moments binom(q, i) with 16 rows of |b| at a time give
+    the moments binom(q, i), i = 0..3, with 16 rows of |b| at a time give
     S_i[m] = sum_q binom(q, i) |b_{qG+m}|, and those rows add up to
     |sum_{i,m} d_i(m) S_i[m]|, since the signed weight has one sign for
-    k >= 2.  No temporary is as long as the series.
+    k >= 2.  No temporary is as long as the series.  The sums S_i do not
+    depend on the kind, so phi keeps them (:meth:`ComplexSeries._kept`).
 
     A series of at most G coefficients is summed bit for bit as one
     term-by-term numpy sum; where the coefficients past the first G are
@@ -205,16 +207,19 @@ def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
     rows = max(b.size // _SUM_ROW, 1)
     total = float(np.sum(np.abs(weight(np.arange(2.0, head))) * np.abs(b[2:head])))
     if rows > 1:
-        diffs = _forward_differences(weight, _SUM_ROW)
-        q = np.arange(1.0, rows)
-        moments = _binomial_moments(np.ones(q.size), q, diffs.shape[0] - 1)
-        full = b[_SUM_ROW: rows * _SUM_ROW].reshape(q.size, _SUM_ROW)
-        sums = np.zeros_like(diffs)
-        buf = np.empty((_SUM_ROWS, _SUM_ROW))
-        for start in range(0, q.size, _SUM_ROWS):
-            part = full[start: start + _SUM_ROWS]
-            sums += moments[:, start: start + _SUM_ROWS] @ np.abs(part, out=buf[: len(part)])
-        total += abs(float(np.sum(diffs * sums)))
+        def moment_sums():
+            q = np.arange(1.0, rows)
+            moments = _binomial_moments(np.ones(q.size), q, _WEIGHT_DEGREE)
+            full = b[_SUM_ROW: rows * _SUM_ROW].reshape(q.size, _SUM_ROW)
+            sums = np.zeros((_WEIGHT_DEGREE + 1, _SUM_ROW))
+            buf = np.empty((_SUM_ROWS, _SUM_ROW))
+            for start in range(0, q.size, _SUM_ROWS):
+                part = full[start: start + _SUM_ROWS]
+                sums += moments[:, start: start + _SUM_ROWS] @ np.abs(part, out=buf[: len(part)])
+            return sums
+
+        sums = f.phi._kept(("|b|", _SUM_ROW), moment_sums)
+        total += abs(float(np.sum(_forward_differences(weight, _SUM_ROW) * sums)))
     last = rows * _SUM_ROW
     if last < b.size:
         total += float(np.sum(np.abs(weight(np.arange(float(last), b.size)))

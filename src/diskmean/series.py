@@ -9,8 +9,13 @@ z^(N+1) term needs only c_0..c_N.  :meth:`ComplexSeries.mul` truncates at
 the smaller order; the package never calls it, and it stays only as the
 layer the benchmark's tracer times.
 
-Values are immutable after construction and every operation is a pure
-function, so instances can be shared freely between threads.
+Values are immutable after construction.  A long series also keeps the
+weight-free row sums of its circle folds, keyed by (radii, grid, degree),
+and of the coefficient criterion (:meth:`ComplexSeries._kept`).  A call
+computes them the same way, kept or not, so a hit gives the bits of a miss.
+Kept arrays are read-only and take no more bytes than the coefficients,
+the oldest dropped first.  The slot is replaced whole, never changed in
+place, so threads may share a series; two that both miss compute equal bits.
 
 A series owns its coefficient array.  The constructor copies its argument,
 so later writes to an array from outside cannot reach the series; the
@@ -51,14 +56,15 @@ _NEWTON_MIN = 64
 # take hundreds of points in one chunk, long ones a hundred or so.
 _CHUNK_VALUES = 1 << 18
 
-# highest polynomial degree of the weights on_circle accepts
+# highest polynomial degree of the weights on_circle and the coefficient
+# criterion accept, and the degree of the moment sums a series keeps
 _WEIGHT_DEGREE = 3
 
 
 class ComplexSeries:
     """Coefficients of a truncated complex power series, degree 0 first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_sums")
 
     coeffs: np.ndarray
 
@@ -76,10 +82,25 @@ class ComplexSeries:
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        if not np.isfinite(arr).all():
+        # both parts at once, on the float64 view: half the work of complex
+        if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "_sums", ())
+
+    def _kept(self, key, compute) -> np.ndarray:
+        """The read-only array kept under ``key``, else ``compute()``'s."""
+        value = next((v for k, v in self._sums if k == key), None)
+        if value is None:
+            value = compute()
+            value.setflags(write=False)
+            if value.nbytes <= self.coeffs.nbytes:
+                kept = self._sums + ((key, value),)
+                while sum(v.nbytes for _, v in kept) > self.coeffs.nbytes:
+                    kept = kept[1:]
+                object.__setattr__(self, "_sums", kept)
+        return value
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("ComplexSeries is immutable")
@@ -281,6 +302,11 @@ class ComplexSeries:
         S_i[m] = sum_{q>=1} binom(q, i) s**q c_{qG+m}; the weighted fold
         gains sum_i d_i(m) S_i[m] and the plain fold S_0[m].
 
+        The sums S_i do not depend on the weight: they are taken to degree
+        3 with any weight and 0 without, and kept under the key (radii,
+        grid, degree), the whole tuple of radii since a radius's sums may
+        round differently batched with others (see the module docstring).
+
         All radii's moments form one matrix, so that product reads the
         coefficients once, and one batched inverse FFT gives every circle:
         no coefficient is dropped, and memory is O(len(r) grid) beyond the
@@ -297,20 +323,21 @@ class ComplexSeries:
         m = np.arange(head, dtype=np.float64)
         folded = np.zeros((1 if weight is None else 2, len(rad), grid), dtype=np.complex128)
         if rows > 1:
-            degree = 0
-            if weight is not None:
-                diffs = _forward_differences(weight, grid)
-                degree = diffs.shape[0] - 1
-            q = np.arange(1.0, rows)
-            moments = _binomial_moments(np.power(step, q), q, degree)
-            # all radii's real moments times the coefficients' (re, im)
-            # pairs: one read of them, half the work of a complex product
-            body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
-            sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
-            sums = sums.reshape(len(rad), degree + 1, grid)
+            degree = 0 if weight is None else _WEIGHT_DEGREE
+
+            def moment_sums():
+                q = np.arange(1.0, rows)
+                moments = _binomial_moments(np.power(step, q), q, degree)
+                # all radii's real moments times the coefficients' (re, im)
+                # pairs: one read of them, half the work of a complex product
+                body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
+                sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
+                return sums.reshape(len(rad), degree + 1, grid)
+
+            sums = self._kept((tuple(rad[:, 0].tolist()), grid, degree), moment_sums)
             folded[0] = sums[:, 0]
             if weight is not None:
-                folded[1] = np.sum(diffs * sums, axis=1)
+                folded[1] = np.sum(_forward_differences(weight, grid) * sums, axis=1)
         tail = c[rows * grid:] * step ** rows
         folded[0, :, :head] += c[:head]
         folded[0, :, : tail.shape[1]] += tail
@@ -327,17 +354,14 @@ def _forward_differences(weight, step: int) -> np.ndarray:
     the given step, at m = 0 .. step-1: weight(m + q step) equals
     sum_i d_i[m] binom(q, i) for every q >= 0.
 
-    ``weight`` must be a polynomial in k of degree at most 3; the table is
-    exact while its values at k < 4 step are integers below 2**53.  A
-    weight of lower degree has exactly zero higher differences, and those
-    rows are left out, so D is the weight's degree.
+    ``weight`` must be a polynomial in k of degree at most D = 3; the table
+    is exact while its values at k < 4 step are integers below 2**53.  A
+    weight of lower degree has exactly zero higher differences.
     """
     m = np.arange(float(step))
     diffs = weight(m + step * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
     for i in range(1, diffs.shape[0]):
         diffs[i:] = diffs[i:] - diffs[i - 1: -1]
-    while diffs.shape[0] > 1 and not diffs[-1].any():
-        diffs = diffs[:-1]
     return diffs
 
 

@@ -1,7 +1,9 @@
 import functools
 import json
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,9 +26,10 @@ from diskmean import (
     sup_on_circle,
 )
 from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
+from diskmean.families import boundary_image
 from diskmean.cli import _json_dump
 from diskmean.functionals import _KIND_WEIGHTS, MARGIN_TOL, grid_min, scan_report, zero_count
-from diskmean.series import circle_angles
+from diskmean.series import _binomial_moments, _forward_differences, circle_angles
 
 U, P, M, N = (FunctionalKind.U, FunctionalKind.P,
               FunctionalKind.M, FunctionalKind.N)
@@ -113,8 +116,9 @@ def test_criterion_ex32_within_four_eps_of_exact_sum(order):
 
 
 def test_criterion_memory_bounded():
-    # a full-length |b| alone would take 8 MiB
-    fn = _ex32(10 ** 6)
+    # a full-length |b| alone would take 8 MiB; a fresh series, so that no
+    # kept sums spare the product
+    fn = build(FamilySpec(FamilyVariant.EX32, order=10 ** 6))
     tracemalloc.start()
     try:
         coefficient_criterion(N, fn)
@@ -426,7 +430,7 @@ def test_starlike_folded_keeps_checks():
 
 
 def test_starlike_folded_memory_bounded():
-    fn = _ex32(10 ** 6)
+    fn = build(FamilySpec(FamilyVariant.EX32, order=10 ** 6))
     tracemalloc.start()
     try:
         starlike_scan(fn)
@@ -651,3 +655,100 @@ def test_radius_counts_zeros_only_with_one_inside_upper_bracket(monkeypatch):
     r = class_radius(M, from_phi(ComplexSeries([1, 0, 2])))
     assert abs(r - 2 ** -0.5) <= 3e-5
     assert len(counts) > 10 and counts[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# sums kept on phi: every question shares them, with the same bits
+# ---------------------------------------------------------------------------
+
+_QUESTIONS = {
+    **{f"check-{k.value}": functools.partial(check_membership, k) for k in (U, P, M, N)},
+    "starlike": starlike_scan,
+    "radius-N": functools.partial(class_radius, N),
+    "boundary": lambda f: boundary_image(f, 0.999, 2048),
+}
+
+
+def _fresh_ex32():
+    # the family builder keeps no cache: each call is a series with no sums
+    return build(FamilySpec(FamilyVariant.EX32, order=2 ** 17))
+
+
+def _bits(answer):
+    return answer.tobytes() if isinstance(answer, np.ndarray) else _json_dump(answer)
+
+
+@pytest.mark.parametrize("name", list(_QUESTIONS))
+def test_kept_sums_hit_equals_miss(name):
+    cold = _QUESTIONS[name](_fresh_ex32())
+    fn = _fresh_ex32()
+    for other, question in _QUESTIONS.items():
+        if other != name:
+            question(fn)
+    assert fn.phi._sums
+    assert _bits(_QUESTIONS[name](fn)) == _bits(cold)
+
+
+def _criterion_at_weight_degree(kind, b):
+    # the criterion with its moment product at the weight's own degree, as
+    # a term-by-term head and tail plus 16 rows of |b| at a time
+    weight, row = _KIND_WEIGHTS[kind], 4096
+    head, rows = min(b.size, row), max(b.size // row, 1)
+    total = float(np.sum(np.abs(weight(np.arange(2.0, head))) * np.abs(b[2:head])))
+    if rows > 1:
+        diffs = _forward_differences(weight, row)
+        while not diffs[-1].any():
+            diffs = diffs[:-1]
+        q = np.arange(1.0, rows)
+        moments = _binomial_moments(np.ones(q.size), q, len(diffs) - 1)
+        full = np.abs(b[row: rows * row].reshape(q.size, row))
+        sums = sum(moments[:, j: j + 16] @ full[j: j + 16] for j in range(0, q.size, 16))
+        total += abs(float(np.sum(diffs * sums)))
+    return total + float(np.sum(np.abs(weight(np.arange(float(rows * row), b.size)))
+                                * np.abs(b[rows * row:])))
+
+
+@pytest.mark.parametrize("order", [10 ** 6, 2 ** 17 + 5])
+def test_kept_criterion_matches_criterion_at_weight_degree(order):
+    fn = build(FamilySpec(FamilyVariant.EX32, order=order))
+    for _ in range(2):  # a miss, then hits
+        for kind in (U, P, M, N):
+            want = _criterion_at_weight_degree(kind, fn.phi.coeffs)
+            assert abs(coefficient_criterion(kind, fn) - want) <= 1e-13 * want
+
+
+def test_kept_sums_bounded_after_radius_search():
+    fn = _fresh_ex32()
+    class_radius(N, fn)
+    kept = fn.phi._sums
+    assert len(kept) > 1
+    assert sum(v.nbytes for _, v in kept) <= fn.phi.coeffs.nbytes
+    assert not any(v.flags.writeable for _, v in kept)
+
+
+def test_threads_share_kept_sums():
+    def questions(fn):
+        return [_bits(check_membership(k, fn)) for k in (U, P, M, N)] + [
+            _bits(starlike_scan(fn))]
+
+    want = questions(_fresh_ex32())
+    fn = _fresh_ex32()
+    start = threading.Barrier(4)
+
+    def worker(_):
+        start.wait()
+        return questions(fn)
+
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(worker, range(4)))
+    assert got == [want] * 4
+
+
+
+def test_four_checks_and_starlike_share_their_sums():
+    fn = _fresh_ex32()
+    for kind in (U, P, M, N):
+        check_membership(kind, fn)
+    starlike_scan(fn)
+    assert [key for key, _ in fn.phi._sums] == [
+        ((0.9, 0.99, 0.999), 4096, 3), ("|b|", 4096), ((0.999,), 8192, 3)]

@@ -333,6 +333,14 @@ def test_show_config_reports_command_grid(capsys, argv, grid):
     assert json.loads(out)["grid"] == grid
 
 
+def test_show_config_goes_to_output_file(capsys, tmp_path):
+    target = tmp_path / "cfg.json"
+    code, out, err = run(capsys, "check", "--show-config", "--class", "M", "identity",
+                         "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(target.read_text())["grid"] == 4096
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("DISKMEAN_GRID", "512")
     monkeypatch.setenv("DISKMEAN_RADII", "0.5,0.9")

@@ -467,6 +467,85 @@ def test_on_circle_radii_equal_stacked_scalar_calls(source):
             assert np.array_equal(values, np.array([v[part] for v in stacked]))
 
 
+def _fold_at_weight_degree(c, r, grid, weight=None):
+    # the fold with its moment product at the weight's own degree (0
+    # without one), the product computed afresh on every call
+    rad = np.reshape(np.asarray(r, dtype=np.float64), (-1, 1))
+    head, rows = min(c.size, grid), max(c.size // grid, 1)
+    step, m = rad ** grid, np.arange(head, dtype=np.float64)
+    folded = np.zeros((1 if weight is None else 2, len(rad), grid), dtype=np.complex128)
+    if rows > 1:
+        diffs = np.ones((1, grid))
+        if weight is not None:
+            diffs = diskmean.series._forward_differences(weight, grid)
+            while not diffs[-1].any():
+                diffs = diffs[:-1]
+        q = np.arange(1.0, rows)
+        moments = diskmean.series._binomial_moments(np.power(step, q), q, len(diffs) - 1)
+        body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
+        sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
+        sums = sums.reshape(len(rad), len(diffs), grid)
+        folded[0] = sums[:, 0]
+        if weight is not None:
+            folded[1] = np.sum(diffs * sums, axis=1)
+    tail = c[rows * grid:] * step ** rows
+    folded[0, :, :head] += c[:head]
+    folded[0, :, : tail.shape[1]] += tail
+    if weight is not None:
+        folded[1, :, 2:head] += weight(m[2:]) * c[2:head]
+        folded[1, :, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
+    folded[:, :, :head] *= np.power(rad, m)
+    return np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
+
+
+@pytest.mark.parametrize("radii, grid", [((0.9, 0.99, 0.999), 4096), (0.999, 8192),
+                                         (0.9999, 2048)])
+def test_kept_fold_matches_fold_at_weight_degree(radii, grid):
+    # the degree-3 sums, kept or not, against a product at each weight's
+    # own degree, cold and then again on a hit
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi
+    for _ in range(2):
+        for weight in (None, *_KIND_WEIGHTS.values()):
+            got = s.on_circle(radii, grid, weight)
+            got = (got,) if weight is None else got
+            for part, want in zip(got, _fold_at_weight_degree(s.coeffs, radii, grid, weight)):
+                assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kept_sums_bounded_oldest_first_and_read_only():
+    # 32769 coefficients, 512 KiB: eight single-radius entries of 64 KiB
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 15)).phi
+    weight = _KIND_WEIGHTS[FunctionalKind.N]
+    radii = [0.5 + 0.04 * j for j in range(12)]
+    for r in radii:
+        s.on_circle(r, 1024, weight)
+    assert [key for key, _ in s._sums] == [((r,), 1024, 3) for r in radii[4:]]
+    # ten radii at once take more bytes than the coefficients: not kept
+    s.on_circle(radii[:10], 1024, weight)
+    assert [key[0] for key, _ in s._sums] == [(r,) for r in radii[4:]]
+    assert sum(v.nbytes for _, v in s._sums) <= s.coeffs.nbytes
+    for _, value in s._sums:
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[0] = 0.0
+
+
+def test_kept_sums_plain_fold_at_degree_zero():
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 15)).phi
+    s.on_circle(0.999, 2048)
+    s.on_circle(0.999, 2048, _KIND_WEIGHTS[FunctionalKind.U])
+    assert [(key, v.shape) for key, v in s._sums] == [
+        (((0.999,), 2048, 0), (1, 1, 2048)), (((0.999,), 2048, 3), (1, 4, 2048))]
+
+
+@pytest.mark.parametrize("size", [1, 100, 4096, 8191])
+def test_series_without_a_full_row_past_the_grid_keep_nothing(size):
+    s = ball_coefficients(np.random.default_rng(size), size - 1)
+    for weight in (None, *_KIND_WEIGHTS.values()):
+        s.on_circle([0.9, 0.999], 4096, weight)
+    assert s._sums == ()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_eval_derivative_matches_finite_difference(seed):
@@ -528,6 +607,17 @@ def test_adopt_keeps_constructor_checks():
                 np.array([1.0, complex(0.0, np.inf)])):
         with pytest.raises(ValueError):
             ComplexSeries._adopt(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("make", [ComplexSeries, ComplexSeries._adopt],
+                         ids=["constructor", "adopt"])
+def test_non_finite_part_refused(make, part, bad):
+    c = np.ones(5000, dtype=np.complex128)
+    setattr(c[4321:4322], part, bad)
+    with pytest.raises(ValueError, match="finite"):
+        make(c)
 
 
 _A = ball_coefficients(np.random.default_rng(11), 80)
