@@ -11,7 +11,9 @@ layer the benchmark's tracer times.
 
 Values are immutable after construction.  A long series also keeps the
 weight-free row sums of its circle folds, keyed by (radii, grid, degree),
-and of the coefficient criterion (:meth:`ComplexSeries._kept`).  A call
+of the coefficient criterion, and the modulus sum of each row
+:meth:`ComplexSeries.eval` evaluates, keyed by ("eval rows", width), one
+float a row (:meth:`ComplexSeries._kept`).  A call
 computes them the same way, kept or not, so a hit gives the bits of a miss.
 Kept arrays are read-only and take no more bytes than the coefficients,
 the oldest dropped first.  The slot is replaced whole, never changed in
@@ -249,15 +251,39 @@ class ComplexSeries:
         the k-th term carries at most about k eps relative error, so the
         error is at worst about N eps sum_k |c_k| |z|**k; truncation error
         grows outside |z| <= 1.
+
+        Before that pass the rows that cannot change the value are dropped.
+        With A_q = sum_m |c_{qL+m}| the modulus sum of row q and rho the
+        largest |z| over the points, only rows 0..Q are kept, Q the least
+        index with sum_{q>Q} A_q rho**(qL) <= eps sum_{m<L} |c_m| rho**m.
+        Every power on the left is above every power on the right, so the
+        ratio of the two sides only grows with |z|: checked at rho, the
+        dropped terms stay within eps sum_k |c_k| |z|**k at every point,
+        inside the error above.  Nothing is dropped, and nothing is
+        checked, without a point, at rho >= 1 or NaN, or without a full
+        row past the first.  The row sums do not depend on the points and
+        are kept (:meth:`_kept`); a zero row 0 drops only an exactly zero
+        tail, and a rho**(qL) that underflows to 0 still bounds its row.
         """
         pts = np.asarray(z, dtype=np.complex128)
         c = self.coeffs
         if c[-1] == 0:
             c = c[: c.size - int(np.argmax(c[::-1] != 0))]
         width = 1 << (c.size.bit_length() // 2)
+        flat = pts.reshape(-1)
+        if (c.size - 1) // width > 1 and flat.size:
+            rho = np.abs(flat).max()
+            if rho < 1:  # False at NaN
+                starts = np.arange(0, c.size, width)
+                terms = self._kept(("eval rows", width),
+                                   lambda: np.add.reduceat(np.abs(c), starts)) * rho ** starts
+                head = np.abs(c[:width]) @ rho ** np.arange(width)
+                # the sums over the last 1, 2, .. R rows, never decreasing
+                last = terms[:0:-1].cumsum()
+                dropped = np.count_nonzero(last <= np.finfo(np.float64).eps * head)
+                c = c[: (terms.size - dropped) * width]
         full = c[: (c.size - 1) // width * width].reshape(-1, width)
         rest = c[full.size:]
-        flat = pts.reshape(-1)
         out = np.empty(flat.shape, dtype=np.complex128)
         chunk = max(_CHUNK_VALUES // (width + full.shape[0] + 1), 1)
         for start in range(0, flat.size, chunk):

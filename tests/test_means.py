@@ -173,6 +173,13 @@ def test_closure_residual_budget_pair():
     assert verify_closure(M, f, g) <= 1e-10
 
 
+def test_closure_residual_ex32_with_koebe():
+    # ex32 at order 10^6: the eval cut reads only the rows that count at
+    # |z| <= 0.95, so 500 points take tens of milliseconds, not seconds
+    f = build(FamilySpec(FamilyVariant.EX32))
+    assert verify_closure(M, f, koebe_function(), samples=500) <= 1e-10
+
+
 def test_averaging_residual_matches_verify_closure():
     f = build(FamilySpec(FamilyVariant.EX31, n=1))
     g = build(FamilySpec(FamilyVariant.EX32, order=300))

@@ -312,13 +312,8 @@ def test_eval_matches_horner_at_every_length(points):
         assert np.all(gap <= 1e-13 * mass), (size, np.max(gap / mass))
 
 
-@pytest.mark.parametrize("points", [1, 64, 500, 5000])
-@pytest.mark.parametrize("size", [2, 4, 9, 129, 513, 1024, 1025, 100_000])
-def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
-    # the about sqrt(N) giant steps are a second doubled table, not a loop
-    # over the rows: each chunk builds z**0 .. z**(L-1), and w**0 .. w**R
-    # (w = z**L) when there is a full row, and the two together stay within
-    # the chunk budget
+def _spy_powers(monkeypatch):
+    """The shapes of the power tables eval builds from now on."""
     shapes = []
     powers = diskmean.series._powers
 
@@ -328,8 +323,20 @@ def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
         return table
 
     monkeypatch.setattr(diskmean.series, "_powers", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("points", [1, 64, 500, 5000])
+@pytest.mark.parametrize("size", [2, 4, 9, 129, 513, 1024, 1025, 100_000])
+def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
+    # the about sqrt(N) giant steps are a second doubled table, not a loop
+    # over the rows: each chunk builds z**0 .. z**(L-1), and w**0 .. w**R
+    # (w = z**L) when there is a full row, and the two together stay within
+    # the chunk budget
+    shapes = _spy_powers(monkeypatch)
     c = np.random.default_rng(size).uniform(0.5, 1.0, size)  # no zero to trim
-    ComplexSeries(c).eval(0.5 * np.exp(2j * np.pi * np.arange(points) / points))
+    # on |z| = 1 no row can be cut
+    ComplexSeries(c).eval(np.exp(2j * np.pi * np.arange(points) / points))
     width = 1 << (size.bit_length() // 2)
     rows = (size - 1) // width
     counts = [width, rows + 1] if rows else [width]
@@ -342,6 +349,139 @@ def test_eval_takes_sqrt_n_giant_steps(monkeypatch, size, points):
         assert sum(count * n for count, n in chunk) <= diskmean.series._CHUNK_VALUES
     if points <= 500 and size <= 1025:
         assert len(chunks) == 1  # short series do not split hundreds of points
+
+
+def _kept_rows(c, width, rho):
+    """Q + 1, Q the least row index with sum_{q>Q} A_q rho**(qL) <= eps
+    sum_{m<L} |c_m| rho**m, A_q the modulus sum of row q, one row at a time."""
+    rows = [np.sum(np.abs(c[j: j + width])) for j in range(0, c.size, width)]
+    head = sum(abs(c[m]) * rho ** m for m in range(width))
+    for q in range(len(rows)):
+        tail = sum(rows[j] * rho ** (j * width) for j in range(q + 1, len(rows)))
+        if tail <= np.finfo(np.float64).eps * head:
+            return q + 1
+    raise AssertionError("the last row always has an empty tail")
+
+
+@pytest.mark.parametrize("points", [1, 64, 500])
+@pytest.mark.parametrize("size", [129, 513, 1024, 1025, 100_000])
+def test_eval_giant_steps_cover_the_kept_prefix(monkeypatch, size, points):
+    # at |z| = 0.5 the rows past the cut are dropped before either table is
+    # built: the tables cover exactly rows 0..Q, with the same width
+    shapes = _spy_powers(monkeypatch)
+    c = np.random.default_rng(size).uniform(0.5, 1.0, size)
+    ComplexSeries(c).eval(0.5 * np.exp(2j * np.pi * np.arange(points) / points))
+    width = 1 << (size.bit_length() // 2)
+    kept = _kept_rows(c, width, 0.5)
+    assert kept < (size - 1) // width + 1  # some row is dropped
+    counts = [width, kept] if kept > 1 else [width]
+    chunks = [shapes[i: i + len(counts)] for i in range(0, len(shapes), len(counts))]
+    assert sum(chunk[0][1] for chunk in chunks) == points
+    for chunk in chunks:
+        assert [count for count, _ in chunk] == counts, shapes
+
+
+def _cut_cases():
+    # geometric decay, a ball series' f = z/phi (FFT rounding near 5e-17
+    # past degree 1000, no trailing zero) and ex32's k**-5
+    yield "ball-0.99", ball_coefficients(np.random.default_rng(7), 8192, decay=0.99)
+    yield "ball-0.999", ball_coefficients(np.random.default_rng(8), 8192, decay=0.999)
+    yield "ball-f", from_phi(ball_coefficients(np.random.default_rng(9), 8192)).f_series()
+    yield "ex32", build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 0.999])
+def test_eval_cut_matches_horner_loop(rho):
+    # the dropped rows stay within eps sum_k |c_k| |z|**k at every point,
+    # so the cut value keeps the uncut bound against one Horner step per
+    # coefficient; one point on |z| = rho, the rest inside
+    rng = np.random.default_rng(int(rho * 1000))
+    radius = rho * np.sqrt(rng.random(16))
+    radius[0] = rho
+    pts = radius * np.exp(2j * np.pi * rng.random(16))
+    for name, s in _cut_cases():
+        c = s.coeffs
+        mass = np.abs(c) @ np.abs(pts[None]) ** np.arange(c.size)[:, None]
+        gap = np.abs(s.eval(pts) - _horner_loop(c, pts))
+        assert np.all(gap <= 1e-13 * mass), (name, np.max(gap / mass))
+
+
+def _giant_counts(monkeypatch, s, pts):
+    shapes = _spy_powers(monkeypatch)
+    with np.errstate(all="ignore"):  # values at inf are not asked for
+        s.eval(pts)
+    return [count for count, _ in shapes]
+
+
+@pytest.mark.parametrize("pts", [
+    [0.5, 1.0], [0.5, 1.0 + 1e-16j], [0.5, np.nan], [0.5, complex(np.nan, 0.5)],
+    [0.5, np.inf], [0.5, -np.inf], [complex(0.1, np.inf)]],
+    ids=["one", "past-one", "nan", "nan-real", "inf", "-inf", "inf-imag"])
+def test_eval_cuts_nothing_at_or_past_the_unit_circle(monkeypatch, pts):
+    # every row is kept, and the check keeps no row sums
+    c = np.random.default_rng(3).uniform(0.5, 1.0, 5001)
+    s = ComplexSeries(c)
+    assert _giant_counts(monkeypatch, s, np.array(pts)) == [64, 79]
+    assert s._sums == ()
+
+
+def test_eval_of_no_point_keeps_nothing():
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 15)).phi
+    assert s.eval(np.array([], dtype=complex)).shape == (0,)
+    assert s.eval(np.zeros((3, 0))).shape == (3, 0)
+    assert s._sums == ()
+
+
+def test_eval_keeps_a_lone_far_coefficient(monkeypatch):
+    # rows 1..77 are zero; the suffix sum still sees c_5000 in the last row
+    c = np.zeros(5001, dtype=complex)
+    c[0], c[5000] = 1.0, 0.5
+    s = ComplexSeries(c)
+    z = 0.999 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert _giant_counts(monkeypatch, s, z) == [64, 79]
+    # z**5000 by either path carries up to about 5000 eps relative error
+    assert np.max(np.abs(s.eval(z) - (1.0 + 0.5 * z ** 5000))) <= 1e-12
+
+
+@pytest.mark.parametrize("size", [9, 1025, 131_073])
+def test_eval_keeps_row_sums_only_past_one_full_row(size):
+    # 4 coefficients have one full row of 2: nothing to cut, no work
+    s = ComplexSeries(np.ones(4))
+    s.eval(0.5)
+    assert s._sums == ()
+    s = ComplexSeries(np.ones(size))
+    s.eval(0.5)
+    assert [key for key, _ in s._sums] == [("eval rows", 1 << (size.bit_length() // 2))]
+
+
+@pytest.mark.parametrize("name", ["ball-f", "ex32"])
+def test_eval_row_sums_hit_equals_miss(name):
+    s = dict(_cut_cases())[name]
+    fresh = ComplexSeries._adopt(s.coeffs.copy())
+    z = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
+    cold = fresh.eval(z)
+    assert fresh._sums  # the row sums are kept
+    for pts in (z[:3], 0.5j, 0.999 * z):  # a hit at other radii
+        s.eval(pts)
+        other = ComplexSeries._adopt(s.coeffs.copy())
+        assert np.asarray(s.eval(pts)).tobytes() == np.asarray(other.eval(pts)).tobytes()
+    assert fresh.eval(z).tobytes() == cold.tobytes()
+
+
+def test_eval_row_sums_read_only_and_bounded():
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi
+    s.eval(0.9)
+    s.on_circle(0.999, 8192)
+    (key, value), *_ = s._sums
+    width = 1 << (s.coeffs.size.bit_length() // 2)
+    assert key == ("eval rows", width)
+    assert value.shape == ((s.coeffs.size - 1) // width + 1,)
+    want = [np.sum(np.abs(s.coeffs[j: j + width])) for j in range(0, s.coeffs.size, width)]
+    assert np.allclose(value, want, rtol=1e-14, atol=0)
+    assert sum(v.nbytes for _, v in s._sums) <= s.coeffs.nbytes
+    assert not value.flags.writeable
+    with pytest.raises(ValueError):
+        value[0] = 0.0
 
 
 @pytest.mark.parametrize("size, points", [(1_000_000, 1), (131_077, 4), (8193, 3000)],
