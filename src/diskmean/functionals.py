@@ -313,11 +313,26 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
     values = f.phi.on_circle(r, grid, weight)
     if weight is None:
         values = (values,)
-    for rad, least in zip(radii, np.atleast_1d(np.min(np.abs(values[0]), axis=-1))):
-        if least <= PHI_EPS:
-            raise PhiVanishes(f"min |phi| = {least:.3e} on |z| = {rad:g}; "
-                              "the function has a pole there")
+    least_moduli(radii, values[0])
     return (circle_angles(grid), *values)
+
+
+def least_moduli(radii, values: np.ndarray) -> np.ndarray:
+    """min |phi| on each circle, from phi's values there (the last axis).
+
+    This is the one vanishing rule of the scans and the mean probe: a
+    minimum at or below :data:`PHI_EPS` is taken for a zero of phi on that
+    circle, a pole of f.
+
+    Raises:
+        PhiVanishes: for the first radius whose min |phi| is at most 1e-9.
+    """
+    least = np.atleast_1d(np.min(np.abs(values), axis=-1))
+    for rad, low in zip(np.atleast_1d(radii), least):
+        if low <= PHI_EPS:
+            raise PhiVanishes(f"min |phi| = {low:.3e} on |z| = {rad:g}; "
+                              "the function has a pole there")
+    return least
 
 
 def zero_count(values: np.ndarray) -> int:

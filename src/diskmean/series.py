@@ -29,6 +29,7 @@ non-empty, finite) and make the array read-only.
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -61,6 +62,10 @@ _CHUNK_VALUES = 1 << 18
 # highest polynomial degree of the weights on_circle and the coefficient
 # criterion accept, and the degree of the moment sums a series keeps
 _WEIGHT_DEGREE = 3
+
+# tables of the fold that depend only on (weight, step) or (radii, length)
+# are kept for this many of the last pairs used
+_TABLES = 16
 
 
 class ComplexSeries:
@@ -332,6 +337,11 @@ class ComplexSeries:
         3 with any weight and 0 without, and kept under the key (radii,
         grid, degree), the whole tuple of radii since a radius's sums may
         round differently batched with others (see the module docstring).
+        The tables that depend on no coefficient, the differences d_i for
+        each (weight, grid) and the powers r**m of the first block for each
+        (radii, block length), are built once and kept read-only in two
+        module caches of the last 16 pairs each (:func:`_forward_differences`,
+        :func:`_radius_powers`), the coefficient criterion sharing the first.
 
         All radii's moments form one matrix, so that product reads the
         coefficients once, and one batched inverse FFT gives every circle:
@@ -370,11 +380,12 @@ class ComplexSeries:
         if weight is not None:
             folded[1, :, 2:head] += weight(m[2:]) * c[2:head]
             folded[1, :, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
-        folded[:, :, :head] *= np.power(rad, m)
+        folded[:, :, :head] *= _radius_powers(rad.tobytes(), head)
         values = np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
         return values[0] if weight is None else (values[0], values[1])
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def _forward_differences(weight, step: int) -> np.ndarray:
     """Rows d_0 .. d_D of Newton's forward differences of ``weight`` with
     the given step, at m = 0 .. step-1: weight(m + q step) equals
@@ -382,13 +393,26 @@ def _forward_differences(weight, step: int) -> np.ndarray:
 
     ``weight`` must be a polynomial in k of degree at most D = 3; the table
     is exact while its values at k < 4 step are integers below 2**53.  A
-    weight of lower degree has exactly zero higher differences.
+    weight of lower degree has exactly zero higher differences.  The table
+    depends on nothing else, so the last 16 (weight, step) pairs keep theirs,
+    read-only, and every caller gets the same bits.
     """
     m = np.arange(float(step))
     diffs = weight(m + step * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
     for i in range(1, diffs.shape[0]):
         diffs[i:] = diffs[i:] - diffs[i - 1: -1]
+    diffs.setflags(write=False)
     return diffs
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _radius_powers(radii: bytes, length: int) -> np.ndarray:
+    """Rows r**0 .. r**(length-1), one per radius of ``radii`` (their
+    float64 bytes, so that -0.0 and 0.0 stay apart), kept read-only for the
+    last 16 (radii, length) pairs."""
+    table = np.power(np.frombuffer(radii).reshape(-1, 1), np.arange(float(length)))
+    table.setflags(write=False)
+    return table
 
 
 def _binomial_moments(first: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:

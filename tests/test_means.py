@@ -9,6 +9,7 @@ from diskmean import (
     FamilySpec,
     FamilyVariant,
     FunctionalKind,
+    PhiVanishes,
     ball_coefficients,
     build,
     check_membership,
@@ -231,3 +232,76 @@ def test_mean_result_json(capsys):
     assert list(data.keys()) == ["phi_coefficients", "min_denominator_modulus",
                                  "averaging_residual", "membership"]
     assert data["phi_coefficients"][0] == [1.0, 0.0]
+
+
+def _ex32_with(variant, n):
+    return (build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)),
+            build(FamilySpec(FamilyVariant(variant), n=n)))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: _ex32_with("ex31", 1), lambda: _ex32_with("ex31", 2),
+    lambda: _ex32_with("ex34", 1), lambda: _ex32_with("ex34", 3),
+    _interior_zero_pair,
+    lambda: (koebe_function(), build(FamilySpec(FamilyVariant.EX31, n=1))),
+], ids=["ex32-ex31:n=1", "ex32-ex31:n=2", "ex32-ex34:n=1", "ex32-ex34:n=3",
+        "interior-pair", "koebe-ex31"])
+def test_probe_by_linearity_matches_fold_of_mean(monkeypatch, pair):
+    # the values harmonic_mean tests, the parents' values averaged, against
+    # the fold of the mean's own coefficients
+    f, g = pair()
+    seen = []
+
+    def recorded(values):
+        seen.append(values)
+        return zero_count(values)
+
+    monkeypatch.setattr("diskmean.means.zero_count", recorded)
+    want = ComplexSeries(_padded_mean(f, g)).on_circle(PROBE_RADIUS, PROBE_GRID)
+    zeros = zero_count(want)
+    if zeros:
+        with pytest.raises(DenominatorVanishes, match=f"zero count {zeros} inside"):
+            harmonic_mean(f, g)
+    else:
+        least = harmonic_mean(f, g).min_denominator_modulus
+        assert least == float(np.min(np.abs(seen[0])))
+        assert abs(least - np.min(np.abs(want))) <= 1e-14 * np.max(np.abs(want))
+    (got,) = seen
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert zero_count(got) == zeros
+
+
+def test_parent_vanishing_on_probe_circle_accepted():
+    # 1 - z/0.999 vanishes at the probe grid point theta = 0; its mean with
+    # identity, 1 - z/1.998, stays at least 1/2 from zero on the circle
+    bad = from_phi(ComplexSeries([1, -1 / 0.999]))
+    with pytest.raises(PhiVanishes):
+        phi_on_circle(bad, PROBE_RADIUS, PROBE_GRID)
+    for f, g in ((bad, identity_function(1)), (identity_function(1), bad)):
+        out = harmonic_mean(f, g)
+        assert np.array_equal(out.mean.phi.coeffs, [1, -0.5 / 0.999])
+        assert abs(out.min_denominator_modulus - 0.5) <= 1e-15
+
+
+def test_second_mean_reads_the_long_parents_kept_fold(monkeypatch):
+    # a fresh copy of ex32 at 2^17 starts with nothing kept
+    coeffs = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi.coeffs
+    f = from_phi(ComplexSeries(coeffs))
+    g = build(FamilySpec(FamilyVariant.EX31, n=1))
+    key = ((PROBE_RADIUS,), PROBE_GRID, 0)
+    miss = harmonic_mean(f, g)
+    (kept,) = [v for k, v in f.phi._sums if k == key]
+    assert kept.nbytes == 16 * PROBE_GRID
+
+    def refold(*args):
+        raise AssertionError("the kept fold was computed again")
+
+    monkeypatch.setattr("diskmean.series._binomial_moments", refold)
+    hit = harmonic_mean(g, f)
+    monkeypatch.undo()
+    assert [v for k, v in f.phi._sums if k == key][0] is kept
+    assert hit.min_denominator_modulus == miss.min_denominator_modulus
+    assert hit.mean.phi.coeffs.tobytes() == miss.mean.phi.coeffs.tobytes()
+    # and a cold parent gives the bits of the warm one
+    cold = harmonic_mean(from_phi(ComplexSeries(coeffs)), g)
+    assert cold.min_denominator_modulus == hit.min_denominator_modulus

@@ -12,12 +12,14 @@ from diskmean import (
     LeadingCoefficientNearZero,
     ball_coefficients,
     build,
+    check_membership,
     from_phi,
     functional_series,
     harmonic_mean,
     koebe_function,
 )
-from diskmean.functionals import _KIND_WEIGHTS
+from diskmean.functionals import _KIND_WEIGHTS, scan_report, zero_count
+from diskmean.series import circle_angles
 
 
 def series(*coeffs):
@@ -684,6 +686,78 @@ def test_series_without_a_full_row_past_the_grid_keep_nothing(size):
     for weight in (None, *_KIND_WEIGHTS.values()):
         s.on_circle([0.9, 0.999], 4096, weight)
     assert s._sums == ()
+
+
+_TABLES = (diskmean.series._forward_differences, diskmean.series._radius_powers)
+
+
+@pytest.mark.parametrize("step", [64, 2048, 4096])
+def test_difference_tables_built_once_read_only(step):
+    m = np.arange(float(step))
+    for weight in _KIND_WEIGHTS.values():
+        table = diskmean.series._forward_differences(weight, step)
+        assert diskmean.series._forward_differences(weight, step) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        fresh = weight(m + step * np.arange(4.0)[:, None])
+        for i in range(1, 4):
+            fresh[i:] = fresh[i:] - fresh[i - 1: -1]
+        assert table.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("radii, length", [((0.9, 0.99, 0.999), 4096), ((0.999,), 8192),
+                                           ((0.5,), 7), ((-0.0, 0.0), 3)])
+def test_radius_power_tables_built_once_read_only(radii, length):
+    rad = np.reshape(np.array(radii), (-1, 1))
+    table = diskmean.series._radius_powers(rad.tobytes(), length)
+    assert diskmean.series._radius_powers(rad.tobytes(), length) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    # bit for bit, so -0.0 and +0.0 keep their own odd powers
+    assert table.tobytes() == np.power(rad, np.arange(float(length))).tobytes()
+
+
+def test_fold_tables_bounded_and_shared():
+    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 13)).phi
+    weight = _KIND_WEIGHTS[FunctionalKind.M]
+    for cache in _TABLES:
+        cache.cache_clear()
+    first = s.on_circle([0.9, 0.999], 1024, weight)
+    for cache in _TABLES:
+        assert cache.cache_info().misses == 1
+    again = s.on_circle([0.9, 0.999], 1024, weight)
+    for cache in _TABLES:
+        assert cache.cache_info().hits == 1
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
+    for j in range(40):
+        s.on_circle(0.5 + 0.01 * j, 64 + j, weight)
+    for cache in _TABLES:
+        info = cache.cache_info()
+        assert 0 < info.maxsize <= 16
+        assert info.currsize == info.maxsize
+
+
+def test_check_membership_matches_fold_recomputed_afresh():
+    f = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17))
+    radii, grid = (0.9, 0.99, 0.999), 4096
+    theta = circle_angles(grid)
+    for kind in FunctionalKind:
+        for cache in _TABLES:
+            cache.cache_clear()
+        # cold tables, then every table a hit: the same report
+        cold = check_membership(kind, f, radii, grid)
+        assert check_membership(kind, f, radii, grid) == cold
+        # the reference's moment product stops at the weight's own degree,
+        # so its bits may differ with the BLAS's blocking
+        phis, values = _fold_at_weight_degree(f.phi.coeffs, radii, grid, _KIND_WEIGHTS[kind])
+        assert cold.zeros_inside == zero_count(phis[-1]) == 0
+        for scan, r, v in zip(cold.scans, radii, values):
+            want = scan_report(kind, r, theta, v)
+            assert scan.extremal_angle == want.extremal_angle
+            assert scan.extremal_value == pytest.approx(want.extremal_value, rel=1e-13, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
