@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import PhiVanishes
 from .functionals import (
-    _KIND_WEIGHTS,
     MARGIN_TOL,
     FunctionalKind,
     NormalizedFunction,
@@ -77,10 +76,10 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
     MemberNumeric otherwise (scans pass but the sufficient test does not).
 
     Raises:
-        ValueError: if ``radii`` is empty or a radius lies outside (0, 1).
+        ValueError: from :func:`~diskmean.functionals.check_scan_inputs`.
     """
     radii = list(radii)
-    theta, phis, values = phi_on_circle(f, radii, grid, weight=_KIND_WEIGHTS[kind])
+    theta, phis, values = phi_on_circle(f, radii, grid, weight=kind.weight)
     total = coefficient_criterion(kind, f)
     scans = [scan_report(kind, r, theta, v) for r, v in zip(radii, values)]
     zeros = zero_count(phis[int(np.argmax(radii))])
@@ -115,12 +114,11 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     keeping the term waits for the next change to them.
 
     Raises:
-        ValueError: if ``radii`` is empty, a radius lies outside (0, 1) or
-            grid < 16.
+        ValueError: from :func:`~diskmean.functionals.check_scan_inputs`.
         PhiVanishes: if phi vanishes on the sampled set.
     """
     radii = list(radii)
-    theta, phis, tails = phi_on_circle(f, radii, grid, _KIND_WEIGHTS[FunctionalKind.U])
+    theta, phis, tails = phi_on_circle(f, radii, grid, FunctionalKind.U.weight)
     b = f.phi.coeffs
     top = b.size - 1
     best = np.inf
@@ -149,6 +147,14 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     )
 
 
+def check_radius_tol(tol: float) -> None:
+    """Refuse a radius-search tolerance that is not a positive finite number."""
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be > 0")
+    if tol == math.inf:
+        raise ValueError("tol must be finite")
+
+
 def class_radius(kind: FunctionalKind, f: NormalizedFunction,
                  tol: float = RADIUS_TOL, grid: int = 2048) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
@@ -166,17 +172,14 @@ def class_radius(kind: FunctionalKind, f: NormalizedFunction,
     Returns 1.0 when no violation is found up to r = 1 - 1e-4; returns the
     bracket floor if the functional already violates the bound there.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be positive")
-    if tol == math.inf:
-        raise ValueError("tol must be finite")
+    check_radius_tol(tol)
     lo, hi = 1e-3, 1.0 - 1e-4
     poles = False
 
     def probe(r: float):
         # phi's values (None where phi vanishes), violated?, level
         try:
-            theta, phis, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+            theta, phis, values = phi_on_circle(f, r, grid, weight=kind.weight)
         except PhiVanishes:
             return None, True, math.inf
         if poles and zero_count(phis) > 0:

@@ -41,6 +41,7 @@ from .classes import (
     RADIUS_TOL,
     STARLIKE_GRID,
     check_membership,
+    check_radius_tol,
     class_radius,
     starlike_scan,
 )
@@ -56,6 +57,7 @@ from .families import (
 from .functionals import (
     FunctionalKind,
     NormalizedFunction,
+    check_scan_inputs,
     identity_function,
     koebe_function,
 )
@@ -96,14 +98,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.order < 8:
             raise ValueError("order must be >= 8")
-        if not self.radii or any(not 0.0 < r < 1.0 for r in self.radii):
-            raise ValueError("radii must lie in (0, 1)")
-        if self.grid < 16:
-            raise ValueError("grid must be >= 16")
-        if not self.tol > 0:  # NaN too
-            raise ValueError("tol must be > 0")
-        if self.tol == math.inf:
-            raise ValueError("tol must be finite")
+        check_scan_inputs(self.radii, self.grid)
+        check_radius_tol(self.tol)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import InvalidFamilyParams
 from .functionals import (
-    _KIND_WEIGHTS,
     FunctionalKind,
     NormalizedFunction,
     functional_eval_direct,
@@ -114,7 +113,7 @@ def _alpha(variant: FamilyVariant, n):
     kind = _BUDGET_KIND.get(variant)
     if kind is None:
         raise InvalidFamilyParams(f"{variant.value} has no alpha parameter")
-    return kind.bound / abs(_KIND_WEIGHTS[kind](2 * n + 1))
+    return kind.bound / abs(kind.weight(2 * n + 1))
 
 
 def _budget_exact(alpha: float, weight: float, target: float) -> float:
@@ -141,7 +140,7 @@ def build(spec: FamilySpec) -> NormalizedFunction:
     c[0] = 1.0
     if v in _BUDGET_KIND:
         kind = _BUDGET_KIND[v]
-        a = _budget_exact(_alpha(v, n), _KIND_WEIGHTS[kind](top), kind.bound)
+        a = _budget_exact(_alpha(v, n), kind.weight(top), kind.bound)
         c[1] = 1.0 - a
         c[top] = a
         label = f"{v.value}:n={n}"
@@ -404,8 +403,7 @@ def ex33_re_at_1(n: int, b: float, beta: float) -> float:
     Negative for 0 < b <= (n-2)/(n-1) and 0 < beta < arctan(b(n-1)/(n-2)),
     which is how the family fails starlikeness.
     """
-    if n < 3:
-        raise InvalidFamilyParams("ex33_re_at_1 requires n >= 3")
+    FamilySpec(FamilyVariant.EX33, n=n, b=b, beta=beta).validate()
     num = ((2.0 * (n - 2) / (n - 1)) * math.sin(beta)
            - 2.0 * b * math.cos(beta)) * math.sin(beta)
     den = abs(1.0 + 1j * b + np.exp(2j * beta) / (n - 1)) ** 2

@@ -19,11 +19,10 @@ forms (the primary computation path):
 
 ``functional_eval_direct`` instead evaluates the defining expressions
 literally through series reciprocal/derivative/eval and serves as the
-independent cross-check of the coefficient forms.  Its f = z/phi is built
-once per function and kept (:meth:`NormalizedFunction.f_series`): after
-the first literal evaluation of U, M or N, the function holds one more
-array, of N + 2 coefficients for phi of order N, and later ones skip the
-reciprocal.
+independent cross-check of the coefficient forms.
+
+This module owns each kind's weight (:attr:`FunctionalKind.weight`) and the
+scans' input rules; ``series`` owns the criterion's sums (``modulus_sum``).
 """
 
 from __future__ import annotations
@@ -35,14 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotNormalized, PhiVanishes
-from .series import (
-    _WEIGHT_DEGREE,
-    DEFAULT_ORDER,
-    ComplexSeries,
-    _binomial_moments,
-    _forward_differences,
-    circle_angles,
-)
+from .series import DEFAULT_ORDER, ComplexSeries, circle_angles
 
 #: |phi(z)| at or below this is treated as a zero of phi (pole of 1/f).
 PHI_EPS = 1e-9
@@ -54,13 +46,6 @@ MARGIN_TOL = 1e-9
 # pairs theta and 2*pi - theta of real-coefficient functions land within
 # rounding of each other and must resolve deterministically.
 _TIE_TOL = 1e-12
-
-
-#: Degrees per row of the coefficient criterion's sum.
-_SUM_ROW = 1 << 12
-
-#: Rows of |b| per moment product: the criterion's one buffer, 512 KiB.
-_SUM_ROWS = 16
 
 
 class FunctionalKind(Enum):
@@ -75,6 +60,11 @@ class FunctionalKind(Enum):
     def bound(self) -> float:
         """The defining bound: 2 for P, 1 for the others."""
         return 2.0 if self is FunctionalKind.P else 1.0
+
+    @property
+    def weight(self):
+        """The signed weight of b_k, one function per kind (:data:`_KIND_WEIGHTS`)."""
+        return _KIND_WEIGHTS[self]
 
 
 #: Signed weight of b_k (k >= 2) in each functional's series, as a
@@ -164,67 +154,22 @@ def functional_series(kind: FunctionalKind, f: NormalizedFunction) -> ComplexSer
     b = f.phi.coeffs
     if kind is FunctionalKind.P:
         return ComplexSeries._adopt(
-            _KIND_WEIGHTS[kind](np.arange(2.0, b.size)) * b[2:] if b.size > 2
+            kind.weight(np.arange(2.0, b.size)) * b[2:] if b.size > 2
             else np.zeros(1, dtype=np.complex128))
     c = np.zeros_like(b)
     # in place, and no named temporaries: ex32 carries 10^6 terms
-    np.multiply(_KIND_WEIGHTS[kind](np.arange(2.0, b.size)), b[2:], out=c[2:])
+    np.multiply(kind.weight(np.arange(2.0, b.size)), b[2:], out=c[2:])
     return ComplexSeries._adopt(c)
 
 
 def coefficient_criterion(kind: FunctionalKind, f: NormalizedFunction) -> float:
-    """Weighted absolute coefficient sum of the functional's series.
+    """Weighted absolute coefficient sum of the functional's series: phi's
+    :meth:`ComplexSeries.modulus_sum` with the kind's weight.
 
-    This is the triangle-inequality membership test: the sup of the
-    functional over the disk is at most this sum, so a sum <= bound(kind)
-    certifies membership.  Weights per phi-coefficient b_k (k >= 2):
-    (k-1) for U, (k-1)^2 for M, (k-1)^3 for N, k(k-1) for P.
-
-    The sum is sum_k |w_k| |b_k|, not sum_k |w_k b_k|: the two round
-    differently, and on-budget families such as ex33 sit exactly on the
-    bound.  It runs over rows of G = 4096 degrees, k = qG + m, as
-    :meth:`ComplexSeries.on_circle` folds a circle.  The row q = 0 and the
-    partial last row are summed term by term.  The full rows between go
-    through moments: with d_i(m) the step-G forward differences of the
-    signed weight, w(m + qG) = sum_i d_i(m) binom(q, i), so products of
-    the moments binom(q, i), i = 0..3, with 16 rows of |b| at a time give
-    S_i[m] = sum_q binom(q, i) |b_{qG+m}|, and those rows add up to
-    |sum_{i,m} d_i(m) S_i[m]|, since the signed weight has one sign for
-    k >= 2.  No temporary is as long as the series.  The sums S_i do not
-    depend on the kind, so phi keeps them (:meth:`ComplexSeries._kept`).
-
-    A series of at most G coefficients is summed bit for bit as one
-    term-by-term numpy sum; where the coefficients past the first G are
-    all zero (ex31, ex33 and ex34 at any order) the other parts add
-    exactly 0.  Otherwise every term added is nonnegative, bar one of
-    modulus 1 at m = 0 for U that its row partner outweighs G-fold, so the
-    relative error is at most about (R/16 + 40) eps, with R = N/G rows;
-    ex32 at order 10^6 lands within 4 eps of the exactly rounded sum.
+    The sup of the functional over the disk is at most this sum (the
+    triangle inequality), so a sum <= bound(kind) certifies membership.
     """
-    weight = _KIND_WEIGHTS[kind]
-    b = f.phi.coeffs
-    head = min(b.size, _SUM_ROW)
-    rows = max(b.size // _SUM_ROW, 1)
-    total = float(np.sum(np.abs(weight(np.arange(2.0, head))) * np.abs(b[2:head])))
-    if rows > 1:
-        def moment_sums():
-            q = np.arange(1.0, rows)
-            moments = _binomial_moments(np.ones(q.size), q, _WEIGHT_DEGREE)
-            full = b[_SUM_ROW: rows * _SUM_ROW].reshape(q.size, _SUM_ROW)
-            sums = np.zeros((_WEIGHT_DEGREE + 1, _SUM_ROW))
-            buf = np.empty((_SUM_ROWS, _SUM_ROW))
-            for start in range(0, q.size, _SUM_ROWS):
-                part = full[start: start + _SUM_ROWS]
-                sums += moments[:, start: start + _SUM_ROWS] @ np.abs(part, out=buf[: len(part)])
-            return sums
-
-        sums = f.phi._kept(("|b|", _SUM_ROW), moment_sums)
-        total += abs(float(np.sum(_forward_differences(weight, _SUM_ROW) * sums)))
-    last = rows * _SUM_ROW
-    if last < b.size:
-        total += float(np.sum(np.abs(weight(np.arange(float(last), b.size)))
-                              * np.abs(b[last:])))
-    return total
+    return f.phi.modulus_sum(kind.weight)
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +244,26 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
     sum_{k>=2} weight(k) b_k z^k come third, from the same pass.
 
     Raises:
-        ValueError: unless there is a radius, every radius lies in (0, 1)
-            and grid >= 16.
+        ValueError: from :func:`check_scan_inputs`.
         PhiVanishes: for the first radius whose min |phi| is at most 1e-9.
     """
-    radii = np.atleast_1d(np.asarray(r, dtype=np.float64))
-    if radii.size == 0:
-        raise ValueError("radii must not be empty")
-    if not np.all((radii > 0.0) & (radii < 1.0)):
-        raise ValueError("radius must lie in (0, 1)")
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    check_scan_inputs(r, grid)
     values = f.phi.on_circle(r, grid, weight)
     if weight is None:
         values = (values,)
-    least_moduli(radii, values[0])
+    least_moduli(r, values[0])
     return (circle_angles(grid), *values)
+
+
+def check_scan_inputs(radii, grid: int) -> None:
+    """Refuse empty radii, a radius outside (0, 1) and a grid below 16."""
+    radii = np.ravel(radii).tolist()  # plain floats: cheaper than numpy on a few
+    if not radii:
+        raise ValueError("radii must not be empty")
+    if not all(0.0 < r < 1.0 for r in radii):  # False at NaN
+        raise ValueError("each radius must lie in (0, 1)")
+    if grid < 16:
+        raise ValueError("grid must be >= 16")
 
 
 def least_moduli(radii, values: np.ndarray) -> np.ndarray:
@@ -388,8 +337,8 @@ def sup_on_circle(kind: FunctionalKind, f: NormalizedFunction,
     so its series is never built; :func:`scan_report` reads the extremum.
 
     Raises:
-        ValueError: unless 0 < r < 1 and grid >= 16.
+        ValueError: from :func:`check_scan_inputs`.
         PhiVanishes: if phi vanishes at a grid point (degenerate input).
     """
-    theta, _, values = phi_on_circle(f, r, grid, weight=_KIND_WEIGHTS[kind])
+    theta, _, values = phi_on_circle(f, r, grid, weight=kind.weight)
     return scan_report(kind, r, theta, values)

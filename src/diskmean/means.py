@@ -13,12 +13,8 @@ exactly, and membership of F in a class follows from membership of f and g
 by the triangle inequality whenever (f + g)/z does not vanish on the disk.
 That hypothesis is probed on the circle |z| = 0.999: construction is refused
 when phi_F vanishes on it or winds around 0 along it, i.e. has zeros inside
-it (the argument principle).
-
-The probe is linear too: phi_F's values on the circle are the average of
-phi_f's and phi_g's, so they come from the parents' own circle folds
-(:meth:`ComplexSeries.on_circle`), which a long parent keeps, and the new
-coefficient array is never folded.
+it (the argument principle), from the average of the parents' values
+there (:func:`harmonic_mean`).
 """
 
 from __future__ import annotations
@@ -117,7 +113,12 @@ def averaging_residual(kind: FunctionalKind, f: NormalizedFunction,
     every value taken from the exact coefficient path.  The identity is
     linear-exact, so for F = harmonic_mean(f, g).mean anything above
     rounding level indicates an implementation error.
+
+    Raises:
+        ValueError: if ``samples`` < 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     r = 0.95 * np.sqrt(rng.random(samples))
     t = 2.0 * np.pi * rng.random(samples)

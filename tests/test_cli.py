@@ -448,7 +448,9 @@ def test_invalid_config_exit_one(capsys):
     ("--tol", "0", "tol must be > 0"),
     ("--tol", "nan", "tol must be > 0"),
     ("--tol", "inf", "tol must be finite"),
-], ids=["order", "grid", "tol", "tol-nan", "tol-inf"])
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--radii", "1.5", "each radius must lie in (0, 1)"),
+], ids=["order", "grid", "tol", "tol-nan", "tol-inf", "seed", "radii"])
 def test_invalid_setting_exit_one(capsys, flag, value, reason):
     code, out, err = run(capsys, flag, value, "check", "--class", "M", "identity")
     assert code == 1

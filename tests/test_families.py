@@ -522,3 +522,16 @@ def test_boundary_closed_curve():
     fn = build(FamilySpec(EX32, order=4096))
     pts = boundary_image(fn, 0.999, 512)
     assert abs(pts[0] - pts[-1]) <= 1e-9 * max(1.0, abs(pts[0]))
+
+
+@pytest.mark.parametrize("n, b, beta, reason", [
+    (3, 0.6, 0.1, r"\|b\| <= \(n-2\)/\(n-1\)"),
+    (3, 0.5, math.inf, "finite b and beta"),
+    (3.0, 0.5, 0.1, "integer n"),
+])
+def test_ex33_re_at_1_refuses_what_the_family_refuses(n, b, beta, reason):
+    # the closed form holds only for members: FamilySpec.validate is its one gate
+    with pytest.raises(InvalidFamilyParams, match=reason):
+        ex33_re_at_1(n, b, beta)
+    with pytest.raises(InvalidFamilyParams, match=reason):
+        build(FamilySpec(FamilyVariant.EX33, n=n, b=b, beta=beta))

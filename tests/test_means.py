@@ -191,6 +191,17 @@ def test_averaging_residual_matches_verify_closure():
                     == verify_closure(kind, f, g, 200, seed))
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_closure_residual_refuses_fewer_than_one_sample(samples):
+    f = build(FamilySpec(FamilyVariant.EX31, n=1))
+    g = build(FamilySpec(FamilyVariant.EX31, n=2))
+    mean = harmonic_mean(f, g).mean
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        averaging_residual(M, f, g, mean, samples)
+    with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+        verify_closure(M, f, g, samples)
+
+
 def test_cli_mean_builds_the_mean_once(monkeypatch, capsys):
     built = []
 
