@@ -364,7 +364,10 @@ def _config_from(args) -> RunConfig:
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if hasattr(args, f.name)}
     if "radii" in given:
-        given["radii"] = tuple(float(x) for x in given["radii"].split(","))
+        try:
+            given["radii"] = tuple(float(x) for x in given["radii"].split(","))
+        except ValueError:
+            raise ValueError("--radii takes comma-separated numbers") from None
     given.setdefault("grid", {"starlike": STARLIKE_GRID, "boundary": BOUNDARY_GRID}.get(
         getattr(args, "command", None), DEFAULT_GRID))
     cfg = RunConfig(**given)

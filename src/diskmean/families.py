@@ -164,22 +164,18 @@ def build(spec: FamilySpec) -> NormalizedFunction:
 
 @lru_cache(maxsize=None)
 def zeta_constant(s: int) -> float:
-    """sum_{k>=1} k^-s for integer s >= 2, absolute error below 1e-14.
-
-    Partial sum up to the first term below 1e-17 (capped at 1e5 terms) plus
-    an Euler-Maclaurin tail through the z^-(s+3) correction; the correction
-    makes the cap loss-free.
-    """
+    """sum_{k>=1} k^-s for integer s >= 2, within 1 ulp at s = 2..10: 19 terms
+    by ``math.fsum`` plus the Euler-Maclaurin tail from n = 20, n^(1-s)/(s-1)
+    + n^-s/2 + sum_{j=1..7} B_2j/(2j)! s(s+1)..(s+2j-2) n^(1-s-2j), whose
+    next term is below 1e-21 at every s >= 2."""
     if s < 2:
         raise ValueError("zeta_constant requires s >= 2")
-    cutoff = int(math.ceil(1e17 ** (1.0 / s)))
-    head_end = min(cutoff, 100_000)
-    ks = np.arange(1, head_end, dtype=np.float64)
-    head = math.fsum((ks ** -float(s)).tolist())
-    a = float(head_end)
-    tail = (a ** (1 - s) / (s - 1) + 0.5 * a ** -s
-            + s * a ** (-s - 1) / 12.0
-            - s * (s + 1) * (s + 2) * a ** (-s - 3) / 720.0)
+    n = 20.0
+    head = math.fsum(k ** -float(s) for k in range(1, 20))
+    tail = n ** (1 - s) / (s - 1) + 0.5 * n ** -s
+    for j, coeff in enumerate((1 / 12, -1 / 720, 1 / 30240, -1 / 1209600,  # B_2j/(2j)!
+                               1 / 47900160, -691 / 1307674368000, 1 / 74724249600)):
+        tail += coeff * math.prod(range(s, s + 2 * j + 1)) * n ** (-s - 2 * j - 1)
     return head + tail
 
 

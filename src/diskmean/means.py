@@ -46,38 +46,29 @@ class MeanResult:
 def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     """F = 2fg/(f+g), built as the coefficientwise average of the phis.
 
-    A phi of lower order is padded with zeros, so the mean keeps the longer
-    series' tail: past the shorter phi its coefficients are half the
-    longer's.  phi_F is built in one coefficient-length array.  The
+    phi_F is :meth:`ComplexSeries.average` of the two: the shorter phi is
+    padded with zeros, so past it phi_F's coefficients are half the
+    longer's, and it is built and checked in cache-sized blocks.  The
     nonvanishing hypothesis on (f+g)/z is probed on a finite grid (radius
     0.999, 4096 angles): phi_F must not vanish there by the scans' rule
     (:func:`least_moduli`), and the winding number of its values (the
     count of phi_F's zeros inside) must be 0.  This is a numerical
     surrogate, not a proof; min |phi_F| is reported as a diagnostic only.
 
-    phi_F's values there are taken as (phi_f + phi_g)/2 of the parents'
-    values, not from phi_F's coefficients.  The fold is linear in the
-    coefficients, so the two differ only by rounding, within a small
-    multiple of eps log2(4096) sum_k (|b_k(f)| + |b_k(g)|) 0.999**k (on ex32
-    at order 10^6 with a small partner, 5e-16 of max |phi_F|).  A long parent
-    keeps its plain fold on that circle (64 KiB at 4096 angles), so from
-    its second mean on the probe costs two short transforms instead of a
-    pass over every coefficient.  A parent may itself vanish on the
-    circle; only the average is tested.
+    phi_F's values there are (phi_f + phi_g)/2 of the parents' values: the
+    fold is linear, so they differ from phi_F's own only by rounding, within
+    a small multiple of eps log2(4096) sum_k (|b_k(f)| + |b_k(g)|) 0.999**k
+    (5e-16 of max |phi_F| on ex32 at order 10^6 with a small partner).  A
+    long parent keeps its plain fold there (64 KiB), so from its second
+    mean on the probe costs two short transforms.  A parent may itself
+    vanish on the circle; only the average is tested.
 
     Raises:
         DenominatorVanishes: if phi_F vanishes on the probe grid or has
             zeros inside the probe circle.
     """
-    short, long = sorted((f.phi.coeffs, g.phi.coeffs), key=len)
-    # ((0 + long) + short)/2 with short padded by zeros: the 0 turns -0.0
-    # into +0.0, which makes the bits the same whichever phi comes first
-    total = long + 0.0
-    total[: short.size] += short
-    total *= 0.5
     label = f"mean({f.label or 'f'},{g.label or 'g'})"
-    mean = NormalizedFunction(ComplexSeries._adopt(total), label)
-    # each parent alone may vanish on the circle: only phi_F's values count
+    mean = NormalizedFunction(ComplexSeries.average(f.phi, g.phi), label)
     phiv = 0.5 * (f.phi.on_circle(PROBE_RADIUS, PROBE_GRID)
                   + g.phi.on_circle(PROBE_RADIUS, PROBE_GRID))
     try:

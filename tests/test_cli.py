@@ -450,7 +450,10 @@ def test_invalid_config_exit_one(capsys):
     ("--tol", "inf", "tol must be finite"),
     ("--seed", "-1", "seed must be >= 0"),
     ("--radii", "1.5", "each radius must lie in (0, 1)"),
-], ids=["order", "grid", "tol", "tol-nan", "tol-inf", "seed", "radii"])
+    ("--radii", ",", "--radii takes comma-separated numbers"),
+    ("--radii", "0.5,x", "--radii takes comma-separated numbers"),
+], ids=["order", "grid", "tol", "tol-nan", "tol-inf", "seed", "radii", "radii-empty",
+        "radii-word"])
 def test_invalid_setting_exit_one(capsys, flag, value, reason):
     code, out, err = run(capsys, flag, value, "check", "--class", "M", "identity")
     assert code == 1

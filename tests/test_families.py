@@ -231,6 +231,25 @@ def test_zeta_5():
     assert abs(zeta_constant(5) - 1.0369277551434) <= 1e-12
 
 
+def test_zeta_pinned_doubles():
+    # the doubles ex32's coefficients are built from
+    assert zeta_constant(3) == 1.2020569031595942
+    assert zeta_constant(5) == 1.0369277551433698
+
+
+# closed forms at even s, 32-digit decimal references at odd s
+_ZETA = {2: math.pi ** 2 / 6, 3: "1.2020569031595942853997381615114",
+         4: math.pi ** 4 / 90, 5: "1.0369277551433699263313654864570",
+         6: math.pi ** 6 / 945, 7: "1.0083492773819228268397975498498",
+         8: math.pi ** 8 / 9450, 9: "1.0020083928260822144178527692324",
+         10: math.pi ** 10 / 93555}
+
+
+@pytest.mark.parametrize("s", sorted(_ZETA))
+def test_zeta_against_references(s):
+    assert abs(zeta_constant(s) - float(_ZETA[s])) <= 1e-15
+
+
 def test_zeta_rejects_small_s():
     with pytest.raises(ValueError):
         zeta_constant(1)

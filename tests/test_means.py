@@ -149,6 +149,41 @@ def test_mean_bits_equal_padded_sum(pair):
         assert not np.shares_memory(got, b.phi.coeffs)
 
 
+def _random_phi(size, seed):
+    # phi(0) = 1, a random tail, and -0.0 in both parts at every fifth degree
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    c[5::5] = complex(-0.0, -0.0)
+    c[0] = 1.0
+    return from_phi(ComplexSeries(c))
+
+
+@pytest.mark.parametrize("short", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1])
+def test_blocked_mean_bits_equal_padded_sum(short):
+    # the mean is built in blocks of 2^14 coefficients; the longer series,
+    # 3 * 2^14 + 5, ends in a partial block
+    f, g = _random_phi(3 * 2 ** 14 + 5, 1), _random_phi(short, 2)
+    for a, b in ((f, g), (g, f)):
+        got = ComplexSeries.average(a.phi, b.phi).coeffs
+        assert got.tobytes() == _padded_mean(a, b).tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("short, where", [(3 * 2 ** 14 + 5, 2 ** 14 + 7),
+                                          (3 * 2 ** 14 + 5, 3 * 2 ** 14 + 4),
+                                          (2 ** 14 + 9, 2 ** 14 + 8)],
+                         ids=["second-block", "last-block", "end-of-short"])
+def test_overflow_past_the_first_block_refused(short, where):
+    # each coefficient is finite; only the sum at one degree past the first
+    # block overflows, and its block's check refuses the mean
+    long = np.zeros(3 * 2 ** 14 + 5, dtype=np.complex128)
+    long[0], long[where] = 1.0, 1e308
+    f, g = from_phi(ComplexSeries(long)), from_phi(ComplexSeries(long[:short]))
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            harmonic_mean(f, g)
+
+
 def test_overflowing_mean_refused():
     # each coefficient is finite, but their sum overflows to inf (and the
     # halving meets inf * 0): numpy warns of both before the refusal

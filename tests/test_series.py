@@ -609,9 +609,10 @@ def test_on_circle_radii_equal_stacked_scalar_calls(source):
             assert np.array_equal(values, np.array([v[part] for v in stacked]))
 
 
-def _fold_at_weight_degree(c, r, grid, weight=None):
+def _fold_at_weight_degree(c, r, grid, weight=None, trim=True):
     # the fold with its moment product at the weight's own degree (0
-    # without one), the product computed afresh on every call
+    # without one; degree 3 with a weight and trim=False), the product
+    # computed afresh on every call
     rad = np.reshape(np.asarray(r, dtype=np.float64), (-1, 1))
     head, rows = min(c.size, grid), max(c.size // grid, 1)
     step, m = rad ** grid, np.arange(head, dtype=np.float64)
@@ -620,7 +621,7 @@ def _fold_at_weight_degree(c, r, grid, weight=None):
         diffs = np.ones((1, grid))
         if weight is not None:
             diffs = diskmean.series._forward_differences(weight, grid)
-            while not diffs[-1].any():
+            while trim and not diffs[-1].any():
                 diffs = diffs[:-1]
         q = np.arange(1.0, rows)
         moments = diskmean.series._binomial_moments(np.power(step, q), q, len(diffs) - 1)
@@ -652,6 +653,23 @@ def test_kept_fold_matches_fold_at_weight_degree(radii, grid):
             got = (got,) if weight is None else got
             for part, want in zip(got, _fold_at_weight_degree(s.coeffs, radii, grid, weight)):
                 assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("source", [
+    lambda: build(FamilySpec(FamilyVariant.EX32, order=2 ** 17 + 7)).phi,
+    # random rows, where adding the terms in another order changes bits
+    lambda: ComplexSeries([1, 1j] @ np.random.default_rng(5).standard_normal(
+        (2, 2 ** 17 + 7))),
+], ids=["ex32", "random"])
+@pytest.mark.parametrize("kind", list(FunctionalKind))
+def test_weighted_fold_bytes_equal_explicit_sum(kind, source):
+    # on_circle adds the terms d_i S_i one row at a time; the explicit form
+    # np.sum(d * S, axis=1) over all four rows gives the same bytes
+    s = source()
+    radii = (0.9, 0.99, 0.999)
+    _, got = s.on_circle(radii, 4096, kind.weight)
+    want = _fold_at_weight_degree(s.coeffs, radii, 4096, kind.weight, trim=False)[1]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_kept_sums_bounded_oldest_first_and_read_only():
