@@ -93,7 +93,7 @@ def check_membership(kind: FunctionalKind, f: NormalizedFunction,
                             zeros_inside=zeros, verdict=verdict)
 
 
-def starlike_scan(f: NormalizedFunction, radii=(0.999,),
+def starlike_scan(f: NormalizedFunction, radii=(max(DEFAULT_RADII),),
                   grid: int = STARLIKE_GRID) -> StarlikeReport:
     """Minimum of Re(z f'(z)/f(z)) over the sampled circles.
 
@@ -111,7 +111,8 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     scan not starlike.  For phi of order
     N <= grid the top term (1 - N) b_N z^N is then taken off again: the
     reference answers of the benchmark pin that truncated minimum, so
-    keeping the term waits for the next change to them.
+    keeping the term waits for the next change to them.  Ties (within
+    1e-12) go to the first circle, then the least angle.
 
     Raises:
         ValueError: from :func:`~diskmean.functionals.check_scan_inputs`.
@@ -121,27 +122,19 @@ def starlike_scan(f: NormalizedFunction, radii=(0.999,),
     theta, phis, tails = phi_on_circle(f, radii, grid, FunctionalKind.U.weight)
     b = f.phi.coeffs
     top = b.size - 1
-    best = np.inf
-    best_angle = 0.0
-    best_radius = radii[0]
-    for r, phiv, tail in zip(radii, phis, tails):
-        numv = b[0] + tail
-        if 1 <= top <= grid:
-            # e^{i N theta_j} = e^{i theta_(N j mod grid)}: no large angle and
-            # no power of the points
-            numv -= (1 - top) * b[top] * r ** top * np.exp(
-                1j * theta[top * np.arange(grid) % grid])
-        lo, idx = grid_min((numv / phiv).real)
-        if lo < best:
-            best = lo
-            best_angle = float(theta[idx])
-            best_radius = float(r)
+    numv = b[0] + tails
+    if 1 <= top <= grid:
+        # e^{i N theta_j} = e^{i theta_(N j mod grid)}: no large angle and
+        # no power of the points
+        numv -= (1 - top) * b[top] * np.power(radii, top)[:, None] * np.exp(
+            1j * theta[top * np.arange(grid) % grid])
+    best, idx = grid_min((numv / phis).real.ravel())
     zeros = zero_count(phis[int(np.argmax(radii))])
     return StarlikeReport(
         radii=[float(r) for r in radii],
         min_value=best,
-        argmin_angle=best_angle,
-        argmin_radius=best_radius,
+        argmin_angle=float(theta[idx % grid]),
+        argmin_radius=float(radii[idx // grid]),
         zeros_inside=zeros,
         starlike_numeric=bool(zeros == 0 and best >= -STARLIKE_TOL),
     )
@@ -156,7 +149,7 @@ def check_radius_tol(tol: float) -> None:
 
 
 def class_radius(kind: FunctionalKind, f: NormalizedFunction,
-                 tol: float = RADIUS_TOL, grid: int = 2048) -> float:
+                 tol: float = RADIUS_TOL, grid: int = DEFAULT_GRID) -> float:
     """Largest radius (within tol) at which the defining inequality holds.
 
     A bracketing search over r in [1e-3, 1 - 1e-4], at most 120 probes.  A

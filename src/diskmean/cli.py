@@ -354,7 +354,7 @@ def _build_parser() -> _Parser:
                help="largest radius of class membership")
 
     sp = add_parser("boundary", cmd_boundary, "source", help="image of a circle under f")
-    sp.add_argument("-r", "--radius", type=float, default=0.999)
+    sp.add_argument("-r", "--radius", type=float, default=max(DEFAULT_RADII))
     sp.add_argument("--format", choices=("csv", "svg"), default="csv")
 
     return p

@@ -240,8 +240,8 @@ def phi_on_circle(f: NormalizedFunction, r, grid: int, weight=None):
 
     ``r`` is one radius or a 1-D sequence of radii, all folded in one pass
     over phi's coefficients (:meth:`ComplexSeries.on_circle`).  With
-    ``weight``, a polynomial of degree at most 3 in k, the values of
-    sum_{k>=2} weight(k) b_k z^k come third, from the same pass.
+    ``weight``, a function of the degree k, the values of
+    sum_{k>=2} weight(k) b_k z^k come third.
 
     Raises:
         ValueError: from :func:`check_scan_inputs`.
@@ -289,7 +289,8 @@ def zero_count(values: np.ndarray) -> int:
 
     The signed count of steps v[j] -> v[j+1], the last one from v[-1] back
     to v[0], that cross the negative real axis: Im v changes sign there,
-    and the sign of Im(conj(v[j]) v[j+1]) says whether the step turns
+    and the sign of Im(conj(v[j]) v[j+1]), taken of the two values divided
+    by their moduli so that no product overflows, says whether the step turns
     counterclockwise (+1, from Im v >= 0 to Im v < 0) or clockwise (-1,
     the other way) through it, not through the positive axis.  By the
     argument principle this is the number of zeros of phi inside the
@@ -298,7 +299,7 @@ def zero_count(values: np.ndarray) -> int:
     """
     upper = values.imag >= 0
     j = np.flatnonzero(upper != np.roll(upper, -1))
-    a, b = values[j], values[(j + 1) % values.size]
+    a, b = (v / np.abs(v) for v in (values[j], values[(j + 1) % values.size]))
     turn = (a.conj() * b).imag
     up = upper[j]
     return int(np.count_nonzero(up & (turn > 0)) - np.count_nonzero(~up & (turn < 0)))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classes import DEFAULT_GRID, DEFAULT_RADII
 from .errors import DenominatorVanishes, PhiVanishes
 from .functionals import (
     FunctionalKind,
@@ -33,8 +34,8 @@ from .functionals import (
 )
 from .series import ComplexSeries
 
-PROBE_RADIUS = 0.999
-PROBE_GRID = 4096
+PROBE_RADIUS = max(DEFAULT_RADII)
+PROBE_GRID = DEFAULT_GRID
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ def harmonic_mean(f: NormalizedFunction, g: NormalizedFunction) -> MeanResult:
     fold is linear, so they differ from phi_F's own only by rounding, within
     a small multiple of eps log2(4096) sum_k (|b_k(f)| + |b_k(g)|) 0.999**k
     (5e-16 of max |phi_F| on ex32 at order 10^6 with a small partner).  A
-    long parent keeps its plain fold there (64 KiB), so from its second
-    mean on the probe costs two short transforms.  A parent may itself
+    long parent keeps its values there (64 KiB), so from its second mean on
+    the probe folds only the other parent.  A parent may itself
     vanish on the circle; only the average is tested.
 
     Raises:

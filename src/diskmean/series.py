@@ -6,17 +6,18 @@ error budget up front by choosing N.  Each result keeps the degree it is
 exact to: the reciprocal keeps N, the derivative drops one, and f = z/phi
 (``NormalizedFunction.f_series``) holds N + 2 coefficients, since its
 z^(N+1) term needs only c_0..c_N.  The coefficient criterion's sum is
-:meth:`ComplexSeries.modulus_sum`, beside the circle fold whose rows it shares.
+:meth:`ComplexSeries.modulus_sum`, beside the circle fold.
 
-Values are immutable after construction.  A long series also keeps the
-weight-free row sums of its circle folds, keyed by (radii, grid, degree),
-and of its modulus sums, keyed by ("|b|", 4096), and the modulus sum of
-each row :meth:`ComplexSeries.eval` evaluates, keyed by ("eval rows",
-width), one float a row (:meth:`ComplexSeries._kept`).  A call
-computes them the same way, kept or not, so a hit gives the bits of a miss.
-Kept arrays are read-only and take no more bytes than the coefficients,
-the oldest dropped first.  The slot is replaced whole, never changed in
-place, so threads may share a series; two that both miss compute equal bits.
+Values are immutable after construction.  A series keeps the values of
+its circle folds on grids of at most half its length, keyed by (radii,
+grid, weight), its modulus sum for each weight, keyed by
+("|b|", weight), and the modulus sum of each row :meth:`ComplexSeries.eval`
+evaluates, keyed by ("eval rows", width), one float a row
+(:meth:`ComplexSeries._kept`).  A call computes them the same way, kept or
+not, so a hit gives the bits of a miss.  Kept arrays are read-only and
+take no more bytes than the coefficients, the oldest dropped first.  The
+slot is replaced whole, never changed in place, so threads may share a
+series; two that both miss compute equal bits.
 
 A series owns its coefficient array.  The constructor copies its argument,
 so later writes from outside cannot reach it; the arrays the package builds
@@ -58,19 +59,12 @@ _NEWTON_MIN = 64
 # take hundreds of points in one chunk, long ones a hundred or so.
 _CHUNK_VALUES = 1 << 18
 
-# highest polynomial degree of the weights on_circle and modulus_sum
-# accept, and the degree of the moment sums a series keeps
-_WEIGHT_DEGREE = 3
+# coefficients per block of ComplexSeries.average, modulus_sum and the
+# fold's full rows: 256 KiB of complex values
+_BLOCK = 1 << 14
 
-# degrees per row of ComplexSeries.modulus_sum, and its rows of |c| per
-# moment product: its one buffer, 512 KiB
-_SUM_ROW = 1 << 12
-_SUM_ROWS = 16
-
-_AVERAGE_BLOCK = 1 << 14  # coefficients per block of ComplexSeries.average, 256 KiB
-
-# tables of the fold that depend only on (weight, step) or (radii, length)
-# are kept for this many of the last pairs used
+# the fold's tables of r**m, which depend only on (radii, length), are
+# kept for this many of the last pairs used
 _TABLES = 16
 
 
@@ -141,8 +135,8 @@ class ComplexSeries:
         short, long = sorted((a.coeffs, b.coeffs), key=len)
         total = np.empty_like(long)
         finite = True
-        for start in range(0, long.size, _AVERAGE_BLOCK):
-            part = slice(start, start + _AVERAGE_BLOCK)
+        for start in range(0, long.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
             block = np.add(long[part], 0.0, out=total[part])
             block[: short[part].size] += short[part]
             block *= 0.5
@@ -338,9 +332,8 @@ class ComplexSeries:
         ``r`` is one radius or a 1-D array of radii; the values have shape
         ``np.shape(r) + (grid,)``.  With ``weight``, the result is the pair
         of those values and the values of sum_{k>=2} weight(k) c_k z**k at
-        the same points, from one pass over the coefficients.  ``weight``
-        maps an array of degrees k (as floats) to the weights and must be a
-        polynomial in k of degree at most 3.
+        the same points.  ``weight`` maps an array of degrees k (as floats)
+        to the weights.
 
         Every length goes through one fold (Henrici, SIAM Review 21, 1979):
         z**k and z**(k mod G) agree on the grid (G = grid), so summing
@@ -349,134 +342,92 @@ class ComplexSeries:
         The block q = 0, the first min(N + 1, G) coefficients, is taken term
         by term, weighted with k < 2 left out exactly (subtracting those
         terms afterwards would lose accuracy where r**k is small); so is the
-        partial last block.  Only a series with full rows of G past the
-        first also needs the moments: with k = qG + m and s = r**G, Newton's
-        forward formula gives weight(m + qG) = sum_i d_i(m) binom(q, i),
-        where d_i(m) is the i-th difference of the weight at m with step G
-        (exact for integer weights below 2**53).  One matrix product of the
-        moments binom(q, i) s**q, q >= 1, with those rows gives
-        S_i[m] = sum_{q>=1} binom(q, i) s**q c_{qG+m}; the plain fold gains
-        S_0[m] and the weighted sum_i d_i(m) S_i[m], added from i = 0 up.
+        partial last block.  With k = qG + m and s = r**G, the full rows
+        between add sum_{q>=1} s**q weight(k) c_k to residue m: the powers
+        s**q of every radius times whole rows of weight(k) c_k, as many at
+        a time as fit in 2**14 coefficients (one if none fits), so that the
+        product reads the coefficients once for all radii and no temporary
+        is as long as the series.  The powers r**m of the first block are
+        built once per (radii, block length) and kept read-only in a module
+        cache of the last 16 pairs (:func:`_radius_powers`).
 
-        The sums S_i do not depend on the weight: they are taken to degree
-        3 with any weight and 0 without, and kept under the key (radii,
-        grid, degree), the whole tuple of radii since a radius's sums may
-        round differently batched with others (see the module docstring).
-        The tables that depend on no coefficient, the differences d_i for
-        each (weight, grid) and the powers r**m of the first block for each
-        (radii, block length), are built once and kept read-only in two
-        module caches of the last 16 pairs each (:func:`_forward_differences`,
-        :func:`_radius_powers`), :meth:`modulus_sum` sharing the first.
-
-        All radii's moments form one matrix, so that product reads the
-        coefficients once, and one batched inverse FFT gives every circle:
-        no coefficient is dropped, and memory is O(len(r) grid) beyond the
-        coefficients.  For the weights of the four functionals the terms
-        d_i(m) binom(q, i) share one sign, bar one of modulus 1 at m = 0,
-        so the weighted values are accurate to a small multiple of
-        eps log2(grid) sum_k |weight(k)| |c_k| r**k.
+        A series of at least 2G coefficients keeps each weight's finished
+        values under (radii, grid, weight), the plain ones under weight
+        None (:meth:`_kept`), so a repeat call returns the kept read-only
+        arrays; the key holds the whole tuple of radii, since a radius's
+        values may round differently batched with others; there a weighted
+        miss folds the plain and the weighted values in two passes, where a
+        shorter series folds both in one.  No
+        coefficient is dropped, memory is O(len(r) grid) beyond the
+        coefficients, and the weighted values are accurate to a small
+        multiple of eps log2(grid) sum_k |weight(k)| |c_k| r**k.
         """
-        c = self.coeffs
         rad = np.reshape(np.asarray(r, dtype=np.float64), (-1, 1))
+        weights = (None,) if weight is None else (None, weight)
+        if self.coeffs.size < 2 * grid:
+            values = self._fold(rad, grid, weights)
+        else:
+            radii = tuple(rad[:, 0].tolist())
+            values = [self._kept((radii, grid, w), lambda w=w: self._fold(rad, grid, (w,))[0])
+                      for w in weights]
+        values = [v.reshape(np.shape(r) + (grid,)) for v in values]
+        return values[0] if weight is None else tuple(values)
+
+    def _fold(self, rad: np.ndarray, grid: int, weights) -> np.ndarray:
+        """:meth:`on_circle`'s values for each of ``weights`` (None: the
+        plain ones), stacked, on each circle of the column of radii ``rad``."""
+        c = self.coeffs
         head = min(c.size, grid)
         rows = max(c.size // grid, 1)
         step = rad ** grid
-        m = np.arange(head, dtype=np.float64)
-        folded = np.zeros((1 if weight is None else 2, len(rad), grid), dtype=np.complex128)
-        if rows > 1:
-            degree = 0 if weight is None else _WEIGHT_DEGREE
-
-            def moment_sums():
-                q = np.arange(1.0, rows)
-                moments = _binomial_moments(np.power(step, q), q, degree)
-                # all radii's real moments times the coefficients' (re, im)
-                # pairs: one read of them, half the work of a complex product
-                body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
-                sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
-                return sums.reshape(len(rad), degree + 1, grid)
-
-            sums = self._kept((tuple(rad[:, 0].tolist()), grid, degree), moment_sums)
-            folded[0] = sums[:, 0]
-            if weight is not None:
-                d = _forward_differences(weight, grid)
-                folded[1] = d[0] * sums[:, 0]
-                for i in range(1, degree + 1):
-                    folded[1] += d[i] * sums[:, i]
+        folded = np.zeros((len(weights), len(rad), grid), dtype=np.complex128)
+        per = max(_BLOCK // grid, 1)
+        for q in range(1, rows, per):
+            end = min(q + per, rows)
+            powers = np.power(step, np.arange(float(q), end))
+            for out, weight in zip(folded, weights):
+                block = c[q * grid: end * grid]
+                if weight is not None:
+                    block = weight(np.arange(float(q * grid), end * grid)) * block
+                # real powers times the (re, im) pairs: half the work of a complex product
+                out += (powers @ block.view(np.float64).reshape(end - q, 2 * grid)).view(np.complex128)
         tail = c[rows * grid:] * step ** rows
-        folded[0, :, :head] += c[:head]
-        folded[0, :, : tail.shape[1]] += tail
-        if weight is not None:
-            folded[1, :, 2:head] += weight(m[2:]) * c[2:head]
-            folded[1, :, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
+        m = np.arange(head, dtype=np.float64)
+        for out, weight in zip(folded, weights):
+            if weight is None:
+                out[:, :head] += c[:head]
+                out[:, : tail.shape[1]] += tail
+            else:
+                out[:, 2:head] += weight(m[2:]) * c[2:head]
+                out[:, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
         folded[:, :, :head] *= _radius_powers(rad.tobytes(), head)
-        values = np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
-        return values[0] if weight is None else (values[0], values[1])
+        return np.fft.ifft(folded, norm="forward")
 
     def modulus_sum(self, weight) -> float:
         """sum_{k>=2} |weight(k)| |c_k|, ``weight`` as for :meth:`on_circle`.
 
         Not sum_k |w_k c_k|: the two round differently, and on-budget
-        families such as ex33 sit exactly on the bound.  The rows of G = 4096
-        degrees are those of :meth:`on_circle`'s fold at r = 1 with |c| for c:
-        the first and the partial last term by term, the full rows between
-        through S_i[m] = sum_q binom(q, i) |c_{qG+m}|, 16 rows of |c| at a
-        time, so that no temporary is as long as the series; they add up to
-        |sum_{i,m} d_i(m) S_i[m]|, since the signed weight has one sign for
-        k >= 2.  The sums S_i do not depend on the weight, so the series
-        keeps them (:meth:`_kept`).
-
-        A series of at most G coefficients is summed bit for bit as one
-        term-by-term numpy sum; where the coefficients past the first G are
-        all zero (ex31, ex33 and ex34 at any order) the other parts add
-        exactly 0.  Otherwise every term added is nonnegative, bar one of
-        modulus 1 at m = 0 for U's weight that its row partner outweighs
-        G-fold, so the relative error is at most about (R/16 + 40) eps, with
-        R = N/G rows; ex32 at order 10^6 lands within 4 eps of the exactly
-        rounded sum.
+        families such as ex33 sit exactly on the bound.  One numpy sum of
+        the terms per block of 2**14 degrees from k = 2, the blocks' sums
+        added in order, so that no temporary is as long as the series and a
+        series of at most 2**14 + 2 coefficients is one sum.  Where all
+        terms past one block are 0 (ex31, ex33 and ex34 at any order) they
+        add exactly 0.  Every term is nonnegative, so the relative error is
+        at most about (R + 14) eps over R blocks; ex32 at order 10^6 lands
+        within 4 eps of the exactly rounded sum.  The sum is kept for each
+        weight (:meth:`_kept`).
         """
         c = self.coeffs
-        head = min(c.size, _SUM_ROW)
-        rows = max(c.size // _SUM_ROW, 1)
-        total = float(np.sum(np.abs(weight(np.arange(2.0, head))) * np.abs(c[2:head])))
-        if rows > 1:
-            def moment_sums():
-                q = np.arange(1.0, rows)
-                moments = _binomial_moments(np.ones(q.size), q, _WEIGHT_DEGREE)
-                full = c[_SUM_ROW: rows * _SUM_ROW].reshape(q.size, _SUM_ROW)
-                sums = np.zeros((_WEIGHT_DEGREE + 1, _SUM_ROW))
-                buf = np.empty((_SUM_ROWS, _SUM_ROW))
-                for j in range(0, q.size, _SUM_ROWS):
-                    part = full[j: j + _SUM_ROWS]
-                    sums += moments[:, j: j + _SUM_ROWS] @ np.abs(part, out=buf[: len(part)])
-                return sums
 
-            sums = self._kept(("|b|", _SUM_ROW), moment_sums)
-            total += abs(float(np.sum(_forward_differences(weight, _SUM_ROW) * sums)))
-        last = rows * _SUM_ROW
-        if last < c.size:
-            total += float(np.sum(np.abs(weight(np.arange(float(last), c.size)))
-                                  * np.abs(c[last:])))
-        return total
+        def blocked():
+            total = 0.0
+            for start in range(2, c.size, _BLOCK):
+                part = c[start: start + _BLOCK]
+                total += float(np.sum(np.abs(weight(np.arange(float(start), start + part.size)))
+                                      * np.abs(part)))
+            return np.array(total)
 
-
-@functools.lru_cache(maxsize=_TABLES)
-def _forward_differences(weight, step: int) -> np.ndarray:
-    """Rows d_0 .. d_D of Newton's forward differences of ``weight`` with
-    the given step, at m = 0 .. step-1: weight(m + q step) equals
-    sum_i d_i[m] binom(q, i) for every q >= 0.
-
-    ``weight`` must be a polynomial in k of degree at most D = 3; the table
-    is exact while its values at k < 4 step are integers below 2**53.  A
-    weight of lower degree has exactly zero higher differences.  The table
-    depends on nothing else, so the last 16 (weight, step) pairs keep theirs,
-    read-only, and every caller gets the same bits.
-    """
-    m = np.arange(float(step))
-    diffs = weight(m + step * np.arange(_WEIGHT_DEGREE + 1.0)[:, None])
-    for i in range(1, diffs.shape[0]):
-        diffs[i:] = diffs[i:] - diffs[i - 1: -1]
-    diffs.setflags(write=False)
-    return diffs
+        return float(self._kept(("|b|", weight), blocked))
 
 
 @functools.lru_cache(maxsize=_TABLES)
@@ -487,16 +438,6 @@ def _radius_powers(radii: bytes, length: int) -> np.ndarray:
     table = np.power(np.frombuffer(radii).reshape(-1, 1), np.arange(float(length)))
     table.setflags(write=False)
     return table
-
-
-def _binomial_moments(first: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:
-    """first * binom(q, i) for i = 0 .. degree, stacked on a new axis
-    before q's last one."""
-    moments = np.empty(first.shape[:-1] + (degree + 1, q.size))
-    moments[..., 0, :] = first
-    for i in range(1, degree + 1):
-        moments[..., i, :] = moments[..., i - 1, :] * (q - (i - 1)) / i
-    return moments
 
 
 def circle_angles(grid: int) -> np.ndarray:

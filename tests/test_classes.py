@@ -29,7 +29,7 @@ from diskmean.classes import FAIL_NUMERIC, MEMBER_BY_COEFFICIENT, MEMBER_NUMERIC
 from diskmean.families import boundary_image
 from diskmean.cli import _json_dump
 from diskmean.functionals import _KIND_WEIGHTS, MARGIN_TOL, grid_min, scan_report, zero_count
-from diskmean.series import _binomial_moments, _forward_differences, circle_angles
+from diskmean.series import circle_angles
 
 U, P, M, N = (FunctionalKind.U, FunctionalKind.P,
               FunctionalKind.M, FunctionalKind.N)
@@ -61,7 +61,7 @@ def test_criterion_P_weights():
 
 
 def _criterion_by_blocks(kind, f):
-    # the sum before the moment form: term by term in blocks of 2^15 terms
+    # the sum term by term in blocks of 2^15 terms, from k = 2
     b = f.phi.coeffs
     total = 0.0
     for start in range(2, b.size, 1 << 15):
@@ -294,6 +294,12 @@ def test_starlike_identity():
     rep = starlike_scan(identity_function(16), radii=(0.9,), grid=256)
     assert abs(rep.min_value - 1.0) <= 1e-14
     assert rep.starlike_numeric
+
+
+def test_starlike_ties_go_to_the_first_circle_then_the_least_angle():
+    # z f'/f = 1 at every point of every circle
+    rep = starlike_scan(identity_function(16), radii=(0.5, 0.9, 0.7), grid=64)
+    assert (rep.min_value, rep.argmin_radius, rep.argmin_angle) == (1.0, 0.5, 0.0)
 
 
 def test_starlike_constant_phi():
@@ -689,32 +695,24 @@ def test_kept_sums_hit_equals_miss(name):
     assert _bits(_QUESTIONS[name](fn)) == _bits(cold)
 
 
-def _criterion_at_weight_degree(kind, b):
-    # the criterion with its moment product at the weight's own degree, as
-    # a term-by-term head and tail plus 16 rows of |b| at a time
-    weight, row = _KIND_WEIGHTS[kind], 4096
-    head, rows = min(b.size, row), max(b.size // row, 1)
-    total = float(np.sum(np.abs(weight(np.arange(2.0, head))) * np.abs(b[2:head])))
-    if rows > 1:
-        diffs = _forward_differences(weight, row)
-        while not diffs[-1].any():
-            diffs = diffs[:-1]
-        q = np.arange(1.0, rows)
-        moments = _binomial_moments(np.ones(q.size), q, len(diffs) - 1)
-        full = np.abs(b[row: rows * row].reshape(q.size, row))
-        sums = sum(moments[:, j: j + 16] @ full[j: j + 16] for j in range(0, q.size, 16))
-        total += abs(float(np.sum(diffs * sums)))
-    return total + float(np.sum(np.abs(weight(np.arange(float(rows * row), b.size)))
-                                * np.abs(b[rows * row:])))
+def _criterion_by_rows(kind, b):
+    # the sum in another blocking: rows of 4096 terms from k = 0, the
+    # first two terms left out
+    terms = np.abs(_KIND_WEIGHTS[kind](np.arange(float(b.size)))) * np.abs(b)
+    terms[:2] = 0.0
+    return sum(float(np.sum(terms[j: j + 4096])) for j in range(0, b.size, 4096))
 
 
 @pytest.mark.parametrize("order", [10 ** 6, 2 ** 17 + 5])
 def test_kept_criterion_matches_criterion_at_weight_degree(order):
+    # each kind's sum, a miss and then a hit, against the same terms
+    # summed in rows of 4096
     fn = build(FamilySpec(FamilyVariant.EX32, order=order))
-    for _ in range(2):  # a miss, then hits
-        for kind in (U, P, M, N):
-            want = _criterion_at_weight_degree(kind, fn.phi.coeffs)
-            assert abs(coefficient_criterion(kind, fn) - want) <= 1e-13 * want
+    cold = [coefficient_criterion(kind, fn) for kind in (U, P, M, N)]
+    for kind, miss in zip((U, P, M, N), cold):
+        want = _criterion_by_rows(kind, fn.phi.coeffs)
+        assert abs(miss - want) <= 1e-13 * want
+        assert coefficient_criterion(kind, fn) == miss  # a hit
 
 
 def test_kept_sums_bounded_after_radius_search():
@@ -746,9 +744,44 @@ def test_threads_share_kept_sums():
 
 
 def test_four_checks_and_starlike_share_their_sums():
+    # one plain entry for the checks' circles and one per kind, each
+    # kind's modulus sum, and the starlike scan's plain and U entries
     fn = _fresh_ex32()
     for kind in (U, P, M, N):
         check_membership(kind, fn)
     starlike_scan(fn)
+    radii = (0.9, 0.99, 0.999)
     assert [key for key, _ in fn.phi._sums] == [
-        ((0.9, 0.99, 0.999), 4096, 3), ("|b|", 4096), ((0.999,), 8192, 3)]
+        (radii, 4096, None),
+        *[key for k in (U, P, M, N) for key in ((radii, 4096, k.weight), ("|b|", k.weight))],
+        ((0.999,), 8192, None), ((0.999,), 8192, U.weight)]
+
+
+def test_check_at_order_32768_keeps_both_its_entries(monkeypatch):
+    # 3 radii x 4096 x 16 B = 192 KiB each, within the 512 KiB of the
+    # coefficients; a second check folds nothing
+    fn = build(FamilySpec(FamilyVariant.EX32, order=32768))
+    cold = check_membership(M, fn)
+    radii = (0.9, 0.99, 0.999)
+    kept = dict(fn.phi._sums)
+    assert kept[(radii, 4096, None)].nbytes == kept[(radii, 4096, M.weight)].nbytes == 3 << 16
+    assert sum(v.nbytes for v in kept.values()) <= fn.phi.coeffs.nbytes
+
+    def refold(*args):
+        raise AssertionError("a kept fold was computed again")
+
+    monkeypatch.setattr(ComplexSeries, "_fold", refold)
+    assert check_membership(M, fn) == cold
+
+
+def test_scan_defaults_read_from_the_membership_defaults():
+    import inspect
+
+    from diskmean import means
+    from diskmean.classes import DEFAULT_GRID, DEFAULT_RADII
+    from diskmean.cli import _build_parser
+
+    assert (means.PROBE_RADIUS, means.PROBE_GRID) == (max(DEFAULT_RADII), DEFAULT_GRID)
+    assert inspect.signature(starlike_scan).parameters["radii"].default == (max(DEFAULT_RADII),)
+    assert inspect.signature(class_radius).parameters["grid"].default == DEFAULT_GRID
+    assert _build_parser().parse_args(["boundary", "identity"]).radius == max(DEFAULT_RADII)

@@ -351,6 +351,13 @@ def test_zero_count_matches_angle_sum_on_zero_pairs(phi, zeros, r, grid):
     assert zero_count(values) == _angle_sum_count(values) == zeros
 
 
+def test_zero_count_of_a_huge_linear_term_does_not_overflow():
+    # 1 + 1e200 z vanishes at -1e-200; |phi| near 1e200 on the circle
+    # would overflow a product of two values
+    from diskmean.functionals import zero_count
+    assert zero_count(ComplexSeries([1, 1e200]).on_circle(0.999, 4096)) == 1
+
+
 def test_scan_report_json_fields():
     rep = sup_on_circle(U, koebe_function(), 0.5, 64)
     data = json.loads(_json_dump(rep))

@@ -334,15 +334,17 @@ def test_second_mean_reads_the_long_parents_kept_fold(monkeypatch):
     coeffs = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi.coeffs
     f = from_phi(ComplexSeries(coeffs))
     g = build(FamilySpec(FamilyVariant.EX31, n=1))
-    key = ((PROBE_RADIUS,), PROBE_GRID, 0)
+    key = ((PROBE_RADIUS,), PROBE_GRID, None)
     miss = harmonic_mean(f, g)
     (kept,) = [v for k, v in f.phi._sums if k == key]
     assert kept.nbytes == 16 * PROBE_GRID
+    fold = ComplexSeries._fold
 
-    def refold(*args):
-        raise AssertionError("the kept fold was computed again")
+    def refold(series, *args):
+        assert series is not f.phi, "the kept fold was computed again"
+        return fold(series, *args)
 
-    monkeypatch.setattr("diskmean.series._binomial_moments", refold)
+    monkeypatch.setattr(ComplexSeries, "_fold", refold)
     hit = harmonic_mean(g, f)
     monkeypatch.undo()
     assert [v for k, v in f.phi._sums if k == key][0] is kept

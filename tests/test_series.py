@@ -609,49 +609,51 @@ def test_on_circle_radii_equal_stacked_scalar_calls(source):
             assert np.array_equal(values, np.array([v[part] for v in stacked]))
 
 
-def _fold_at_weight_degree(c, r, grid, weight=None, trim=True):
-    # the fold with its moment product at the weight's own degree (0
-    # without one; degree 3 with a weight and trim=False), the product
-    # computed afresh on every call
+def _direct_fold(c, r, grid, weight=None):
+    # every term weight(k) c_k r**k (k >= 2 with a weight) added into its
+    # residue mod grid, all rows at once, then one inverse FFT per circle
+    k = np.arange(float(c.size))
+    terms = c if weight is None else np.where(k >= 2, weight(k), 0.0) * c
+    rows = -(-c.size // grid)
+    out = []
+    for rad in np.atleast_1d(r):
+        padded = np.zeros(rows * grid, dtype=complex)
+        padded[: c.size] = terms * np.power(rad, k)
+        out.append(np.fft.ifft(padded.reshape(rows, grid).sum(axis=0), norm="forward"))
+    return np.reshape(out, np.shape(r) + (grid,))
+
+
+def _blocked_fold(c, r, grid, weight):
+    # on_circle's weighted sum written out: whole rows of weight(k) c_k, at
+    # most 2**14 coefficients at a time, times s**q, then the first row and
+    # the partial last one term by term, times r**m
     rad = np.reshape(np.asarray(r, dtype=np.float64), (-1, 1))
-    head, rows = min(c.size, grid), max(c.size // grid, 1)
-    step, m = rad ** grid, np.arange(head, dtype=np.float64)
-    folded = np.zeros((1 if weight is None else 2, len(rad), grid), dtype=np.complex128)
-    if rows > 1:
-        diffs = np.ones((1, grid))
-        if weight is not None:
-            diffs = diskmean.series._forward_differences(weight, grid)
-            while trim and not diffs[-1].any():
-                diffs = diffs[:-1]
-        q = np.arange(1.0, rows)
-        moments = diskmean.series._binomial_moments(np.power(step, q), q, len(diffs) - 1)
-        body = c[grid: rows * grid].view(np.float64).reshape(q.size, 2 * grid)
-        sums = (moments.reshape(-1, q.size) @ body).view(np.complex128)
-        sums = sums.reshape(len(rad), len(diffs), grid)
-        folded[0] = sums[:, 0]
-        if weight is not None:
-            folded[1] = np.sum(diffs * sums, axis=1)
+    rows, step, per = c.size // grid, rad ** grid, max((1 << 14) // grid, 1)
+    folded = np.zeros((len(rad), grid), dtype=complex)
+    for q in range(1, rows, per):
+        end = min(q + per, rows)
+        block = weight(np.arange(float(q * grid), end * grid)) * c[q * grid: end * grid]
+        folded += (np.power(step, np.arange(float(q), end))
+                   @ block.view(np.float64).reshape(end - q, 2 * grid)).view(complex)
+    m = np.arange(grid, dtype=np.float64)
     tail = c[rows * grid:] * step ** rows
-    folded[0, :, :head] += c[:head]
-    folded[0, :, : tail.shape[1]] += tail
-    if weight is not None:
-        folded[1, :, 2:head] += weight(m[2:]) * c[2:head]
-        folded[1, :, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
-    folded[:, :, :head] *= np.power(rad, m)
-    return np.fft.ifft(folded, norm="forward").reshape(len(folded), *np.shape(r), grid)
+    folded[:, 2:] += weight(m[2:]) * c[2:grid]
+    folded[:, : tail.shape[1]] += weight(m[: tail.shape[1]] + rows * grid) * tail
+    folded *= np.power(rad, m)
+    return np.fft.ifft(folded, norm="forward").reshape(np.shape(r) + (grid,))
 
 
 @pytest.mark.parametrize("radii, grid", [((0.9, 0.99, 0.999), 4096), (0.999, 8192),
                                          (0.9999, 2048)])
 def test_kept_fold_matches_fold_at_weight_degree(radii, grid):
-    # the degree-3 sums, kept or not, against a product at each weight's
-    # own degree, cold and then again on a hit
+    # a miss, then a hit, against every term added into its residue afresh
     s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17)).phi
     for _ in range(2):
         for weight in (None, *_KIND_WEIGHTS.values()):
             got = s.on_circle(radii, grid, weight)
             got = (got,) if weight is None else got
-            for part, want in zip(got, _fold_at_weight_degree(s.coeffs, radii, grid, weight)):
+            for part, w in zip(got, (None, weight)):
+                want = _direct_fold(s.coeffs, radii, grid, w)
                 assert np.max(np.abs(part - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -663,26 +665,45 @@ def test_kept_fold_matches_fold_at_weight_degree(radii, grid):
 ], ids=["ex32", "random"])
 @pytest.mark.parametrize("kind", list(FunctionalKind))
 def test_weighted_fold_bytes_equal_explicit_sum(kind, source):
-    # on_circle adds the terms d_i S_i one row at a time; the explicit form
-    # np.sum(d * S, axis=1) over all four rows gives the same bytes
+    # on_circle's weighted values give the bytes of its sum written out in
+    # the test, and lie within the fold's bound of the direct sum
     s = source()
     radii = (0.9, 0.99, 0.999)
     _, got = s.on_circle(radii, 4096, kind.weight)
-    want = _fold_at_weight_degree(s.coeffs, radii, 4096, kind.weight, trim=False)[1]
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == _blocked_fold(s.coeffs, radii, 4096, kind.weight).tobytes()
+    k = np.arange(float(s.coeffs.size))
+    w = np.where(k >= 2, kind.weight(k), 0.0) * s.coeffs
+    for r, values, want in zip(radii, got, _direct_fold(s.coeffs, radii, 4096, kind.weight)):
+        assert np.max(np.abs(values - want)) <= _fold_bound(w, r, 4096)
+
+
+def test_kept_hit_returns_the_bits_of_a_miss():
+    coeffs = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17 + 7)).phi.coeffs
+    s = ComplexSeries(coeffs)
+    for weight in (None, *_KIND_WEIGHTS.values()):
+        for radii, grid in (((0.9, 0.99, 0.999), 4096), (0.999, 8192)):
+            miss = s.on_circle(radii, grid, weight)
+            hit = s.on_circle(radii, grid, weight)
+            cold = ComplexSeries(coeffs).on_circle(radii, grid, weight)
+            for got in (hit, cold):
+                assert np.asarray(got).tobytes() == np.asarray(miss).tobytes()
+            for part in (miss,) if weight is None else miss:
+                assert not part.flags.writeable
 
 
 def test_kept_sums_bounded_oldest_first_and_read_only():
-    # 32769 coefficients, 512 KiB: eight single-radius entries of 64 KiB
+    # 32769 coefficients, 512 KiB: each radius keeps two entries of 64 KiB,
+    # plain and weighted, so the last four radii's fit
     s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 15)).phi
     weight = _KIND_WEIGHTS[FunctionalKind.N]
     radii = [0.5 + 0.04 * j for j in range(12)]
     for r in radii:
-        s.on_circle(r, 1024, weight)
-    assert [key for key, _ in s._sums] == [((r,), 1024, 3) for r in radii[4:]]
+        s.on_circle(r, 4096, weight)
+    want = [((r,), 4096, w) for r in radii[8:] for w in (None, weight)]
+    assert [key for key, _ in s._sums] == want
     # ten radii at once take more bytes than the coefficients: not kept
-    s.on_circle(radii[:10], 1024, weight)
-    assert [key[0] for key, _ in s._sums] == [(r,) for r in radii[4:]]
+    s.on_circle(radii[:10], 4096, weight)
+    assert [key for key, _ in s._sums] == want
     assert sum(v.nbytes for _, v in s._sums) <= s.coeffs.nbytes
     for _, value in s._sums:
         assert not value.flags.writeable
@@ -691,11 +712,13 @@ def test_kept_sums_bounded_oldest_first_and_read_only():
 
 
 def test_kept_sums_plain_fold_at_degree_zero():
+    # the plain values, those of the weight of degree 0, under weight None
     s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 15)).phi
+    weight = _KIND_WEIGHTS[FunctionalKind.U]
     s.on_circle(0.999, 2048)
-    s.on_circle(0.999, 2048, _KIND_WEIGHTS[FunctionalKind.U])
+    s.on_circle(0.999, 2048, weight)
     assert [(key, v.shape) for key, v in s._sums] == [
-        (((0.999,), 2048, 0), (1, 1, 2048)), (((0.999,), 2048, 3), (1, 4, 2048))]
+        (((0.999,), 2048, None), (1, 2048)), (((0.999,), 2048, weight), (1, 2048))]
 
 
 @pytest.mark.parametrize("size", [1, 100, 4096, 8191])
@@ -704,24 +727,6 @@ def test_series_without_a_full_row_past_the_grid_keep_nothing(size):
     for weight in (None, *_KIND_WEIGHTS.values()):
         s.on_circle([0.9, 0.999], 4096, weight)
     assert s._sums == ()
-
-
-_TABLES = (diskmean.series._forward_differences, diskmean.series._radius_powers)
-
-
-@pytest.mark.parametrize("step", [64, 2048, 4096])
-def test_difference_tables_built_once_read_only(step):
-    m = np.arange(float(step))
-    for weight in _KIND_WEIGHTS.values():
-        table = diskmean.series._forward_differences(weight, step)
-        assert diskmean.series._forward_differences(weight, step) is table
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 0.0
-        fresh = weight(m + step * np.arange(4.0)[:, None])
-        for i in range(1, 4):
-            fresh[i:] = fresh[i:] - fresh[i - 1: -1]
-        assert table.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("radii, length", [((0.9, 0.99, 0.999), 4096), ((0.999,), 8192),
@@ -738,39 +743,38 @@ def test_radius_power_tables_built_once_read_only(radii, length):
 
 
 def test_fold_tables_bounded_and_shared():
-    s = build(FamilySpec(FamilyVariant.EX32, order=2 ** 13)).phi
+    # a fresh copy of ex32 at 2^13 keeps no values, so each fold reads the
+    # table: the plain and the weighted fold of the first call, then the
+    # second copy's two
+    coeffs = build(FamilySpec(FamilyVariant.EX32, order=2 ** 13)).phi.coeffs
     weight = _KIND_WEIGHTS[FunctionalKind.M]
-    for cache in _TABLES:
-        cache.cache_clear()
-    first = s.on_circle([0.9, 0.999], 1024, weight)
-    for cache in _TABLES:
-        assert cache.cache_info().misses == 1
-    again = s.on_circle([0.9, 0.999], 1024, weight)
-    for cache in _TABLES:
-        assert cache.cache_info().hits == 1
+    cache = diskmean.series._radius_powers
+    cache.cache_clear()
+    first = ComplexSeries(coeffs).on_circle([0.9, 0.999], 1024, weight)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 1)
+    again = ComplexSeries(coeffs).on_circle([0.9, 0.999], 1024, weight)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 3)
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
     for j in range(40):
-        s.on_circle(0.5 + 0.01 * j, 64 + j, weight)
-    for cache in _TABLES:
-        info = cache.cache_info()
-        assert 0 < info.maxsize <= 16
-        assert info.currsize == info.maxsize
+        ComplexSeries(coeffs).on_circle(0.5 + 0.01 * j, 64 + j, weight)
+    info = cache.cache_info()
+    assert 0 < info.maxsize <= 16
+    assert info.currsize == info.maxsize
 
 
 def test_check_membership_matches_fold_recomputed_afresh():
     f = build(FamilySpec(FamilyVariant.EX32, order=2 ** 17))
     radii, grid = (0.9, 0.99, 0.999), 4096
     theta = circle_angles(grid)
+    phis = _direct_fold(f.phi.coeffs, radii, grid)
     for kind in FunctionalKind:
-        for cache in _TABLES:
-            cache.cache_clear()
-        # cold tables, then every table a hit: the same report
+        diskmean.series._radius_powers.cache_clear()
+        # a cold table and nothing kept, then every value kept: one report
         cold = check_membership(kind, f, radii, grid)
         assert check_membership(kind, f, radii, grid) == cold
-        # the reference's moment product stops at the weight's own degree,
-        # so its bits may differ with the BLAS's blocking
-        phis, values = _fold_at_weight_degree(f.phi.coeffs, radii, grid, _KIND_WEIGHTS[kind])
+        # the direct sum rounds otherwise, so extrema agree to 1e-13
+        values = _direct_fold(f.phi.coeffs, radii, grid, _KIND_WEIGHTS[kind])
         assert cold.zeros_inside == zero_count(phis[-1]) == 0
         for scan, r, v in zip(cold.scans, radii, values):
             want = scan_report(kind, r, theta, v)
